@@ -12,6 +12,7 @@ import numpy as np
 from repro.core import (
     DecompressionUnit,
     compress_percent,
+    decompress_accumulate,
 )
 from repro.core import codec
 
@@ -42,6 +43,6 @@ unit = DecompressionUnit()
 cycles = unit.cycles(stream)
 print(f"decompression: {cycles:,} cycles for {stream.num_weights:,} weights "
       f"({cycles / stream.num_weights:.3f} cycles/weight)")
-hw_out = unit.emit(stream)
+hw_out = decompress_accumulate(stream, np.float32)  # the float32 datapath
 print(f"hw-exact vs line-evaluated max diff: "
       f"{np.abs(hw_out - stream.decompress()).max():.2e}")

@@ -87,7 +87,6 @@ from .pipeline import CompressionPipeline, DeltaRecord, apply_compression
 from .provider import (
     ArrayProvider,
     BlobProvider,
-    StreamProvider,
     WeightCursor,
     WeightProvider,
     provider_for,
@@ -125,7 +124,6 @@ __all__ = [
     "WeightCursor",
     "WeightProvider",
     "ArrayProvider",
-    "StreamProvider",
     "BlobProvider",
     "provider_for",
     "CompressionReport",

@@ -184,14 +184,13 @@ def _frame_crcs(body: bytes, num_segments: int, segment_bytes: int) -> np.ndarra
     )
 
 
-def encode(stream: CompressedStream) -> bytes:
-    """Serialize a compressed stream to bytes (version 3, CRC-framed)."""
+def _pack_body(stream: CompressedStream) -> tuple[int, bytes]:
+    """Header flags and segment body, the same in both wire versions."""
     fmt = stream.fmt
     flags = _format_flags(fmt)
-    n = stream.num_segments
     if stream.lengths.size and int(stream.lengths.max()) > fmt.max_segment_length:
         raise ValueError("segment length exceeds the storage format's length field")
-    body = np.empty((n, fmt.segment_bytes), dtype=np.uint8)
+    body = np.empty((stream.num_segments, fmt.segment_bytes), dtype=np.uint8)
     body[:, : fmt.slope_bytes] = _pack_coeff(stream.m, fmt.slope_bytes)
     body[:, fmt.slope_bytes : fmt.slope_bytes + fmt.intercept_bytes] = _pack_coeff(
         stream.q, fmt.intercept_bytes
@@ -199,12 +198,18 @@ def encode(stream: CompressedStream) -> bytes:
     body[:, -fmt.length_bytes :] = (
         stream.lengths.astype("<u2").view(np.uint8).reshape(-1, 2)
     )
-    body_bytes = body.tobytes()
-    trailer = _frame_crcs(body_bytes, n, fmt.segment_bytes).astype("<u4").tobytes()
+    return flags, body.tobytes()
+
+
+def encode(stream: CompressedStream) -> bytes:
+    """Serialize a compressed stream to bytes (version 3, CRC-framed)."""
+    flags, body = _pack_body(stream)
+    n = stream.num_segments
+    trailer = _frame_crcs(body, n, stream.fmt.segment_bytes).astype("<u4").tobytes()
     header0 = _HEADER.pack(_MAGIC, _VERSION, flags, n, 0, float(stream.delta))
     crc = zlib.crc32(trailer, zlib.crc32(header0))
     header = _HEADER.pack(_MAGIC, _VERSION, flags, n, crc, float(stream.delta))
-    return header + body_bytes + trailer
+    return header + body + trailer
 
 
 def encode_legacy(stream: CompressedStream) -> bytes:
@@ -214,21 +219,11 @@ def encode_legacy(stream: CompressedStream) -> bytes:
     tests: it produces exactly the messages archives written before the
     framing version bump contain.  New code should use :func:`encode`.
     """
-    fmt = stream.fmt
-    flags = _format_flags(fmt)
-    n = stream.num_segments
-    if stream.lengths.size and int(stream.lengths.max()) > fmt.max_segment_length:
-        raise ValueError("segment length exceeds the storage format's length field")
-    body = np.empty((n, fmt.segment_bytes), dtype=np.uint8)
-    body[:, : fmt.slope_bytes] = _pack_coeff(stream.m, fmt.slope_bytes)
-    body[:, fmt.slope_bytes : fmt.slope_bytes + fmt.intercept_bytes] = _pack_coeff(
-        stream.q, fmt.intercept_bytes
+    flags, body = _pack_body(stream)
+    header = _HEADER_V2.pack(
+        _MAGIC, _LEGACY_VERSION, flags, stream.num_segments, float(stream.delta)
     )
-    body[:, -fmt.length_bytes :] = (
-        stream.lengths.astype("<u2").view(np.uint8).reshape(-1, 2)
-    )
-    header = _HEADER_V2.pack(_MAGIC, _LEGACY_VERSION, flags, n, float(stream.delta))
-    return header + body.tobytes()
+    return header + body
 
 
 @dataclass

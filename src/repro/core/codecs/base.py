@@ -7,7 +7,7 @@ and ``compressed_bytes`` feed the same CR math as
 :class:`repro.core.compression.StorageFormat`, so the accuracy leg
 (:class:`repro.core.pipeline.CompressionPipeline`), the storage leg
 (:class:`repro.core.model_store.ModelArchive`) and the traffic/energy leg
-(:meth:`repro.mapping.schedule.CompressionEffect.from_blob`) all work with
+(:meth:`repro.mapping.accelerator.Accelerator.compression_effect`) all work with
 any registered codec.
 
 Codecs come in two flavours:
@@ -82,6 +82,18 @@ class CompressedBlob:
     def num_weights(self) -> int:
         """Number of stream elements the blob encodes."""
         return int(self.meta.get("num_weights", 0))
+
+    @property
+    def streaming(self) -> bool:
+        """True when the payload decodes incrementally, tile by tile.
+
+        Only a pure ``linefit`` payload does: its ⟨m, q, len⟩ triples
+        regenerate the weights front to back.  Every other codec's
+        decoder is whole-payload.  Both the streamed provider
+        (:class:`repro.core.provider.BlobProvider`) and the streamed
+        timing model (``Accelerator.compression_effect``) read this.
+        """
+        return self.codec == "linefit"
 
     def spec(self) -> dict:
         """Everything :meth:`rebuild` needs, minus the payload.

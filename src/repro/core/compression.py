@@ -137,6 +137,10 @@ class CompressedStream:
     delta: float
     fmt: StorageFormat = field(default_factory=StorageFormat)
 
+    #: a parsed line-fit stream decodes incrementally, tile by tile
+    #: (:class:`~repro.core.decompressor.WeightStream`)
+    streaming = True
+
     def __post_init__(self) -> None:
         if not (self.m.shape == self.q.shape == self.lengths.shape):
             raise ValueError("m, q and lengths must have identical shapes")
@@ -175,17 +179,14 @@ class CompressedStream:
             quantize_coefficient(self.q, self.fmt.intercept_bytes),
         )
 
-    def decompress(self, dtype=np.float32, storage_precision: bool = True) -> np.ndarray:
+    def decompress(self, dtype=np.float32) -> np.ndarray:
         """Reconstruct the approximated stream ``w~``.
 
-        With ``storage_precision=True`` (default) the line coefficients
-        are first rounded to the bytes the format actually stores, which
-        is what the hardware decompression unit would consume.
+        The line coefficients are first rounded to the bytes the format
+        actually stores, which is what the hardware decompression unit
+        would consume.
         """
-        if storage_precision:
-            m, q = self.storage_coefficients()
-        else:
-            m, q = self.m, self.q
+        m, q = self.storage_coefficients()
         return evaluate_lines(m, q, self.lengths, dtype=dtype)
 
     def mse(self, original: np.ndarray) -> float:

@@ -11,9 +11,11 @@ No multiplier is required; the paper contrasts this with a naive
 be quantified (cycles are identical — one weight per cycle — but the
 energy per emitted weight differs; see :mod:`repro.energy.params`).
 
-Numerical faithfulness: the accumulator is ``float32`` (or ``float16``
-for the int8 storage format), so the emitted stream differs slightly
-from the mathematically evaluated line for long segments.
+Numerical faithfulness: the accumulator runs in the dtype the consumer
+asks for — ``float32`` on the fused nn path — whatever the storage
+format (the int8 format's ``float16`` coefficients are widened before
+accumulating), so the emitted stream differs slightly from the
+mathematically evaluated line for long segments.
 ``decompress_accumulate`` reproduces the accumulator bit pattern exactly:
 NumPy's ``cumsum`` is strictly sequential, so a per-segment cumsum in the
 accumulator dtype *is* the hardware recurrence.  The batch decoder
@@ -46,8 +48,8 @@ __all__ = [
     "decompress_accumulate",
 ]
 
-#: default tile size of :class:`WeightStream` / the fused nn path, in
-#: weights — 16 KB of float32, two PE-local memories' worth
+#: default tile size of the fused nn path, in weights — 16 KB of
+#: float32, two PE-local memories' worth
 DEFAULT_TILE_WEIGHTS = 4096
 
 
@@ -128,9 +130,9 @@ class WeightStream:
 
     Decodes on demand: :meth:`read` materializes exactly the requested
     number of weights (decoding whole segments internally and carrying
-    the partial tail to the next call), and :meth:`tiles` iterates the
-    stream in fixed-size tiles.  Peak memory is one tile plus one
-    decoded segment batch — the full weight array is never allocated.
+    the partial tail to the next call).  Peak memory is one tile plus
+    one decoded segment batch — the full weight array is never
+    allocated.
 
     Every emitted value is bit-identical to the corresponding element of
     :func:`decompress_accumulate` on the same stream, because segments
@@ -207,13 +209,6 @@ class WeightStream:
             self._carry_off = 0
         return out
 
-    def tiles(self, tile_weights: int = DEFAULT_TILE_WEIGHTS):
-        """Iterate the remaining stream in tiles of ``tile_weights``."""
-        if tile_weights <= 0:
-            raise ValueError("tile_weights must be positive")
-        while self.remaining:
-            yield self.read(tile_weights)
-
 
 @dataclass
 class DecompressionUnit:
@@ -239,7 +234,3 @@ class DecompressionUnit:
         """Cycle cost from aggregate counts (transaction-level model)."""
         t = self.timing
         return int(num_segments * t.init_cycles + num_weights * t.run_cycles_per_weight)
-
-    def emit(self, stream: CompressedStream) -> np.ndarray:
-        """The weights the PE actually computes with (float32 datapath)."""
-        return decompress_accumulate(stream, acc_dtype=np.float32)

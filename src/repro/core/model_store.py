@@ -18,10 +18,13 @@ spec carries a CRC32 of its payload (``meta.codecs[layer].meta.crc32``),
 verified before decoding; the line-fit wire payload additionally
 carries its own per-frame framing (:mod:`repro.core.codec` version 3).
 Version-1 archives (no checksums, v2 wire payloads) still load and
-apply — the legacy fallback.  On damage, :meth:`ModelArchive.apply`
-follows a configurable per-layer degradation policy: ``"raise"``
-(default), ``"zero"`` (salvage undamaged segments, zero the rest), or
-``"raw"`` (restore the optional uncompressed fallback copy).
+apply — the legacy fallback.  :meth:`ModelArchive.decode_layer` is the
+one path from a compressed layer to its weights, for both
+:meth:`ModelArchive.apply` and the serving path
+(``repro.serve.ServedModel``).  On damage it follows a per-layer
+degradation policy: ``"raise"`` (default), ``"zero"`` (salvage
+undamaged segments, zero the rest), or ``"raw"`` (restore the optional
+uncompressed fallback copy).
 
 Format: a ``.npz`` with
   ``meta.format``              archive format version (absent = 1)
@@ -38,7 +41,7 @@ Format: a ``.npz`` with
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +51,21 @@ from .codec import decode as wire_decode
 from .codecs import Codec, CompressedBlob, get_codec
 from .errors import CodecError, IntegrityError
 
-__all__ = ["ModelArchive", "compress_model", "load_archive", "FORMAT_VERSION"]
+__all__ = [
+    "ModelArchive",
+    "compress_model",
+    "load_archive",
+    "check_on_fault",
+    "FORMAT_VERSION",
+    "ON_FAULT_POLICIES",
+]
 
 #: current archive format: 2 = per-layer payload CRCs + optional fallbacks
 FORMAT_VERSION = 2
 
-#: degradation policies accepted by :meth:`ModelArchive.apply`
-_POLICIES = ("raise", "zero", "raw")
+#: per-layer degradation policies of :meth:`ModelArchive.decode_layer`,
+#: shared by :meth:`ModelArchive.apply` and ``repro.serve.ServedModel``
+ON_FAULT_POLICIES = ("raise", "zero", "raw")
 
 
 @dataclass
@@ -122,76 +133,99 @@ class ModelArchive:
         np.savez_compressed(path, **arrays)
 
     # -- application -------------------------------------------------------
-    def _decode_layer(self, name: str, payload: bytes) -> np.ndarray:
+    def decode_layer(self, name: str, on_fault: str = "raise") -> tuple[np.ndarray, dict | None]:
+        """One compressed layer's flat weight stream, under a degradation policy.
+
+        Verifies the payload checksum, then decodes.  When either raises
+        a :class:`CodecError`, ``on_fault`` (see :data:`ON_FAULT_POLICIES`)
+        decides what happens:
+
+        * ``"raise"`` — propagate the error;
+        * ``"zero"`` — keep the undamaged segments of a pure line-fit
+          payload and zero-fill the damaged ones (whole-layer zeros for
+          other codecs or structurally broken payloads);
+        * ``"raw"`` — return the archive's uncompressed fallback copy
+          (requires ``compress_model(..., raw_fallback=True)``).
+
+        Returns the weights and a damage report: ``None`` when the layer
+        decoded cleanly, else ``{"action": ..., "error": ...}`` plus the
+        :class:`~repro.resilience.degrade.DamageReport` fields when the
+        ``"zero"`` policy salvaged segments.
+        """
+        check_on_fault(on_fault)
+        payload = self.compressed[name][0]
         spec = self.codecs.get(name)
-        if spec is None:
-            # legacy archive: line-fit wire format, no registry record
-            return wire_decode(payload).decompress()
-        codec = get_codec(spec["name"], **spec.get("params", {}))
-        blob = CompressedBlob.rebuild(spec, payload)
-        # v2 archives record a payload CRC; v1 specs verify vacuously
-        blob.verify(context=f"layer {name!r}")
-        return codec.decode(blob)
+        try:
+            if spec is None:
+                # legacy archive: line-fit wire format, no registry record
+                return wire_decode(payload).decompress().ravel(), None
+            blob = CompressedBlob.rebuild(spec, payload)
+            # v2 archives record a payload CRC; v1 specs verify vacuously
+            blob.verify(context=f"layer {name!r}")
+            codec = get_codec(spec["name"], **spec.get("params", {}))
+            return np.asarray(codec.decode(blob)).ravel(), None
+        except CodecError as exc:
+            if on_fault == "raise":
+                raise
+            return self._degrade_layer(name, exc, on_fault)
 
     def _degrade_layer(
-        self, name: str, shape: tuple[int, ...], error: CodecError, on_fault: str
-    ) -> tuple[np.ndarray, str]:
-        """Apply the degradation policy to one damaged layer."""
+        self, name: str, error: CodecError, on_fault: str
+    ) -> tuple[np.ndarray, dict]:
+        """Apply the ``"zero"`` or ``"raw"`` policy to one damaged layer."""
         if on_fault == "raw":
-            if name in self.fallback:
-                return self.fallback[name].reshape(shape).copy(), "raw-fallback"
-            raise IntegrityError(
-                f"layer {name!r} is damaged and the archive stores no raw "
-                f"fallback copy (build with compress_model(raw_fallback=True))"
-            ) from error
+            if name not in self.fallback:
+                raise IntegrityError(
+                    f"layer {name!r} is damaged and the archive stores no raw "
+                    f"fallback copy (build with compress_model(raw_fallback=True))"
+                ) from error
+            weights = self.fallback[name].astype(np.float32).ravel()
+            return weights, {"action": "raw-fallback", "error": str(error)}
         # "zero": salvage undamaged line-fit frames, zero everything else
+        payload, shape = self.compressed[name]
         num_weights = int(np.prod(shape, dtype=np.int64))
         spec = self.codecs.get(name)
-        terminal = (spec["name"].rsplit("|", 1)[-1] if spec else "linefit").strip()
-        if terminal == "linefit" and (spec is None or spec["name"] == "linefit"):
+        if spec is None or spec["name"] == "linefit":
             from ..resilience.degrade import decode_degraded  # late: avoid cycle
 
-            payload = self.compressed[name][0]
             try:
-                stream, report = decode_degraded(payload, num_weights)
-                return (
-                    stream.reshape(shape),
-                    f"zero-fill ({report.damaged_segments}/{report.num_segments} "
-                    f"segments, {report.zeroed_weights} weights zeroed)",
-                )
+                weights, report = decode_degraded(payload, num_weights)
+                return weights.ravel(), {
+                    "action": "zero-fill (salvaged segments)",
+                    "error": str(error),
+                    **asdict(report),
+                }
             except CodecError:
                 pass  # structurally unsalvageable: fall through to full zero
-        return np.zeros(shape, dtype=np.float32), "zero-fill (whole layer)"
+        return (
+            np.zeros(num_weights, dtype=np.float32),
+            {"action": "zero-fill (whole layer)", "error": str(error)},
+        )
 
-    def apply(self, model: Model, on_fault: str = "raise") -> dict[str, str]:
+    def apply(self, model: Model, on_fault: str = "raise") -> dict[str, dict]:
         """Install the archive's weights into a model (decompressing).
 
         ``on_fault`` selects the per-layer degradation policy when a
-        payload fails integrity verification or decoding:
-
-        * ``"raise"`` — propagate the :class:`CodecError` (default);
-        * ``"zero"`` — keep the undamaged segments of a line-fit payload
-          and zero-fill the damaged ones (whole-layer zeros for other
-          codecs or structurally broken payloads);
-        * ``"raw"`` — restore the archive's uncompressed fallback copy
-          (requires ``compress_model(..., raw_fallback=True)``).
-
-        Returns a report: damaged layer -> action taken (empty when
-        every layer decoded cleanly).
+        payload fails integrity verification or decoding (see
+        :meth:`decode_layer`).  Returns the damage report of every
+        degraded layer — the same per-layer dicts ``ServedModel.damage``
+        records — and is empty when every layer decoded cleanly.
         """
-        if on_fault not in _POLICIES:
-            raise ValueError(f"unknown degradation policy {on_fault!r}; use {_POLICIES}")
-        report: dict[str, str] = {}
-        for name, (payload, shape) in self.compressed.items():
-            try:
-                tensor = self._decode_layer(name, payload).reshape(shape)
-            except CodecError as exc:
-                if on_fault == "raise":
-                    raise
-                tensor, action = self._degrade_layer(name, shape, exc, on_fault)
-                report[name] = action
-            model.set_weights(name, tensor)
+        check_on_fault(on_fault)
+        damage: dict[str, dict] = {}
+        for name, (_, shape) in self.compressed.items():
+            weights, report = self.decode_layer(name, on_fault)
+            if report is not None:
+                damage[name] = report
+            model.set_weights(name, weights.reshape(shape))
+        self.install_uncompressed(model)
+        return damage
+
+    def install_uncompressed(self, model: Model) -> None:
+        """Install the raw layers and the non-weight state into ``model``."""
         for name, arr in self.raw.items():
+            if name not in model:
+                raise ValueError(f"archive layer {name!r} unknown to model")
             model.set_weights(name, arr)
         if self.state:
             # merge: archive state keys override, others stay
@@ -201,7 +235,14 @@ class ModelArchive:
                     raise ValueError(f"archive state key {key!r} unknown to model")
                 current[key] = arr
             model.load_state_dict(current)
-        return report
+
+
+def check_on_fault(on_fault: str) -> None:
+    """Reject a degradation policy that is not in :data:`ON_FAULT_POLICIES`."""
+    if on_fault not in ON_FAULT_POLICIES:
+        raise ValueError(
+            f"unknown degradation policy {on_fault!r}; use {ON_FAULT_POLICIES}"
+        )
 
 
 def compress_model(

@@ -8,24 +8,23 @@ decides how the tiles come to exist —
 
 * :class:`ArrayProvider` serves views of an already-materialized array
   (the compatibility path: zero copies, zero behavior change);
-* :class:`StreamProvider` decodes a line-fit
-  :class:`~repro.core.compression.CompressedStream` on demand through
+* :class:`BlobProvider` adapts any registered codec's
+  :class:`~repro.core.codecs.CompressedBlob`.  A blob that decodes
+  incrementally (:attr:`CompressedBlob.streaming`: a pure ``linefit``
+  payload) streams for real: cursors decode on demand through
   :class:`~repro.core.decompressor.WeightStream`, so the full weight
   array is never allocated — the software analogue of the paper's
-  in-PE decompression unit feeding the MAC datapath directly;
-* :class:`BlobProvider` adapts any registered codec's
-  :class:`~repro.core.codecs.CompressedBlob`: pure ``linefit`` blobs
-  stream for real; other codecs (whose decoders are not incremental)
-  materialize once per provider and then serve views — same contract,
-  documented fallback.
+  in-PE decompression unit feeding the MAC datapath directly.  Other
+  codecs (whose decoders are whole-payload) materialize once per
+  provider and then serve views — same contract, documented fallback.
 
 Tile values are **bit-identical** to the materialized decode for every
 provider: streaming only changes *when* weights exist, never what they
 are (property-tested in ``tests/core/test_streamed_decode.py``).
 
-:func:`provider_for` normalizes anything weight-shaped (ndarray,
-``CompressedStream``, ``CompressedBlob``, or an existing provider) so
-call sites across ``nn``/``mapping`` accept one spelling.
+:func:`provider_for` normalizes an ndarray, a ``CompressedBlob`` or an
+existing provider, so call sites across ``nn``/``mapping`` accept one
+spelling.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ import threading
 import numpy as np
 
 from .compression import CompressedStream
-from .decompressor import DEFAULT_TILE_WEIGHTS, WeightStream
+from .decompressor import WeightStream
 from .errors import CodecError
 
 __all__ = [
     "WeightCursor",
     "WeightProvider",
     "ArrayProvider",
-    "StreamProvider",
     "BlobProvider",
     "provider_for",
 ]
@@ -71,13 +69,6 @@ class WeightCursor:
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
-
-    def tiles(self, tile_weights: int = DEFAULT_TILE_WEIGHTS):
-        """Iterate the remaining weights in tiles of ``tile_weights``."""
-        if tile_weights <= 0:
-            raise ValueError("tile_weights must be positive")
-        while self.remaining:
-            yield self.read(tile_weights)
 
 
 class _StreamCursor(WeightCursor):
@@ -139,40 +130,15 @@ class ArrayProvider(WeightProvider):
         return self._w.astype(dtype, copy=False)
 
 
-class StreamProvider(WeightProvider):
-    """Streaming provider over a line-fit :class:`CompressedStream`.
-
-    Each cursor decodes tiles on demand through
-    :class:`~repro.core.decompressor.WeightStream`; the full weight
-    array is never allocated by this provider.
-    """
-
-    def __init__(self, stream: CompressedStream) -> None:
-        self._stream = stream
-        self.num_weights = stream.num_weights
-        self.num_segments = stream.num_segments
-        self.compression_ratio = stream.compression_ratio
-
-    @property
-    def stream(self) -> CompressedStream:
-        return self._stream
-
-    @property
-    def streaming(self) -> bool:
-        return True
-
-    def cursor(self, dtype=np.float32) -> WeightCursor:
-        return _StreamCursor(self._stream, dtype)
-
-
 class BlobProvider(WeightProvider):
     """Provider over any registered codec's :class:`CompressedBlob`.
 
-    A pure ``linefit`` blob parses to a :class:`CompressedStream` and
-    streams for real.  Other codecs' decoders are whole-payload, so the
-    first cursor materializes the decode once (cached on the provider)
-    and subsequent cursors serve views — the provider contract holds
-    either way, only the peak memory differs.
+    A blob that decodes incrementally (:attr:`CompressedBlob.streaming`)
+    parses to a :class:`CompressedStream` once, here, and streams for
+    real.  Other codecs' decoders are whole-payload, so the first cursor
+    materializes the decode once (cached on the provider) and
+    subsequent cursors serve views — the provider contract holds either
+    way, only the peak memory differs.
 
     Providers are safe to share across threads: the materialize-once
     step is guarded by a lock (exactly one decode runs, concurrent
@@ -191,7 +157,7 @@ class BlobProvider(WeightProvider):
         self._stream: CompressedStream | None = None
         self._decoded: np.ndarray | None = None
         self._materialize_lock = threading.Lock()
-        if blob.codec == "linefit":
+        if blob.streaming:
             from .codecs import get_codec  # local import: codecs -> core cycles
 
             codec = get_codec(blob.codec, **blob.params)
@@ -205,7 +171,7 @@ class BlobProvider(WeightProvider):
 
     @property
     def streaming(self) -> bool:
-        return self._stream is not None
+        return self._blob.streaming
 
     def _materialized(self) -> np.ndarray:
         # double-checked: the lock-free fast path reads an attribute
@@ -245,14 +211,11 @@ class BlobProvider(WeightProvider):
 def provider_for(source) -> WeightProvider:
     """Normalize anything weight-shaped into a :class:`WeightProvider`.
 
-    Accepts an existing provider (returned as-is), a line-fit
-    :class:`CompressedStream`, any codec's :class:`CompressedBlob`, or a
-    raw ndarray.
+    Accepts an existing provider (returned as-is), any codec's
+    :class:`CompressedBlob`, or a raw ndarray.
     """
     if isinstance(source, WeightProvider):
         return source
-    if isinstance(source, CompressedStream):
-        return StreamProvider(source)
     if isinstance(source, np.ndarray):
         return ArrayProvider(source)
     # duck-typed CompressedBlob (avoid importing codecs at module import)

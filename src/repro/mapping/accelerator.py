@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.codecs import Codec, CompressedBlob, get_codec
+from ..core.codecs import CompressedBlob
 from ..core.compression import CompressedStream
-from ..core.provider import WeightProvider, provider_for
+from ..core.provider import WeightProvider
 from ..energy.model import EnergyAccount, EnergyBreakdown
 from ..energy.params import EnergyParams
 from ..nn.arch import ArchSpec, LayerKind, LayerSpec
@@ -77,7 +77,9 @@ class AcceleratorConfig:
     demand_mode: bool = False
     #: streamed-decode timing: compression effects built by this
     #: accelerator overlap the fused decode+MAC pipeline with the weight
-    #: fetch (see ``repro.noc.pe`` / ``repro.noc.transaction``)
+    #: fetch when the weights decode incrementally (see
+    #: ``Accelerator.compression_effect``, ``repro.noc.pe`` and
+    #: ``repro.noc.transaction``)
     streamed_decode: bool = False
     #: drive flit-level runs with the retained naive reference stepper
     #: (``NocSimulator.step_reference``) instead of the activity-scheduled
@@ -317,86 +319,26 @@ class Accelerator:
 
     def compression_effect(
         self,
-        stream: CompressedStream | CompressedBlob | WeightProvider,
+        source: CompressedBlob | CompressedStream | WeightProvider,
         units_per_pe: int | None = None,
         streamed: bool | None = None,
     ) -> CompressionEffect:
-        """Effect of a compressed weight stream, from any API.
+        """Effect of compressed weights: a blob, a line-fit stream or a provider.
 
-        Accepts the legacy :class:`CompressedStream` (line-fit only),
-        any codec's :class:`CompressedBlob`, or a
-        :class:`~repro.core.provider.WeightProvider`.  ``streamed``
-        defaults to the accelerator's ``streamed_decode`` configuration.
+        Reads the source's ``compression_ratio`` and ``num_segments``
+        (lossless codecs report no segments: a volume-only change), never
+        its payload.  ``streamed`` defaults to the accelerator's
+        ``streamed_decode`` configuration and takes effect only when the
+        source's weights decode incrementally (``source.streaming``, see
+        :attr:`repro.core.codecs.CompressedBlob.streaming`).
         """
-        units = (
-            units_per_pe
-            if units_per_pe is not None
-            else self.config.decompressor_units
+        if units_per_pe is None:
+            units_per_pe = self.config.decompressor_units
+        if streamed is None:
+            streamed = self.config.streamed_decode
+        return CompressionEffect(
+            cr=source.compression_ratio,
+            segments_total=source.num_segments,
+            units_per_pe=units_per_pe,
+            streamed=bool(streamed) and source.streaming,
         )
-        streamed = (
-            self.config.streamed_decode if streamed is None else bool(streamed)
-        )
-        if isinstance(stream, WeightProvider):
-            return CompressionEffect.from_provider(
-                stream, units_per_pe=units, streamed=streamed
-            )
-        if isinstance(stream, CompressedBlob):
-            return CompressionEffect.from_blob(
-                stream, units_per_pe=units, streamed=streamed
-            )
-        return CompressionEffect.from_stream(
-            stream, units_per_pe=units, streamed=streamed
-        )
-
-    def providers_for(
-        self,
-        spec: ArchSpec,
-        assignments: dict[str, float],
-        codec: str | Codec = "linefit",
-        seed: int = 0,
-    ) -> dict[str, WeightProvider]:
-        """Per-layer :class:`WeightProvider`\\ s from delta assignments.
-
-        Materializes each assigned layer's full-scale weights once to
-        *encode* them, then wraps the compressed blob in a provider —
-        downstream consumers (``run_model``, the fused nn forward paths)
-        pull decoded tiles on demand instead of receiving a full-size
-        decoded buffer.
-        """
-        known = {l.name for l in spec.parametric_layers()}
-        unknown = set(assignments) - known
-        if unknown:
-            raise ValueError(f"assignments for unknown layers: {sorted(unknown)}")
-        providers = {}
-        for name, delta in assignments.items():
-            codec_obj = (
-                codec
-                if isinstance(codec, Codec)
-                else get_codec(codec, delta_pct=float(delta))
-            )
-            blob = codec_obj.encode(spec.materialize(name, seed=seed).ravel())
-            providers[name] = provider_for(blob)
-        return providers
-
-    def effects_for(
-        self,
-        spec: ArchSpec,
-        assignments: dict[str, float],
-        codec: str | Codec = "linefit",
-        seed: int = 0,
-    ) -> dict[str, CompressionEffect]:
-        """Build ``run_model``'s compression dict from delta assignments.
-
-        Encodes each assigned layer with ``codec`` (any registry spec or
-        instance; per-layer deltas parameterize string specs) via
-        :meth:`providers_for` and returns the per-layer effects — the
-        bridge from :func:`repro.core.multilayer.optimize_multilayer`
-        output to the latency/energy simulation.  The compressed blobs
-        travel as providers, so no full-size decoded buffer is built.
-        """
-        return {
-            name: self.compression_effect(provider)
-            for name, provider in self.providers_for(
-                spec, assignments, codec=codec, seed=seed
-            ).items()
-        }

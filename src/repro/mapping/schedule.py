@@ -16,10 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.codecs import CompressedBlob
-from ..core.compression import CompressedStream
 from ..core.decompressor import DecompressorTiming
-from ..core.provider import WeightProvider
 from ..nn.arch import LayerSpec
 from ..noc.flit import TrafficClass
 from ..noc.mesh import Mesh
@@ -37,11 +34,13 @@ class CompressionEffect:
     """How compressing a layer changes its schedule.
 
     ``cr`` scales the weight-fetch volume down; ``segments_total`` sets
-    the per-segment init cost of the decompression units;
-    ``units_per_pe`` is the number of parallel decompressors in front of
-    the MAC lanes (the paper's Fig. 7 places the unit inside each PE; we
-    default to one per vector lane so decompression throughput matches
-    the lanes' weight demand).
+    the per-segment init cost of the decompression units (0 for
+    lossless codecs: a volume-only change); ``units_per_pe`` is the
+    number of parallel decompressors in front of the MAC lanes (the
+    paper's Fig. 7 places the unit inside each PE; we default to one per
+    vector lane so decompression throughput matches the lanes' weight
+    demand).  Build one from compressed weights with
+    :meth:`repro.mapping.accelerator.Accelerator.compression_effect`.
     """
 
     cr: float
@@ -52,61 +51,6 @@ class CompressionEffect:
     #: the first arriving tile, overlapping datapath cycles with the
     #: fetch (see ``repro.noc.pe`` / ``repro.noc.transaction``)
     streamed: bool = False
-
-    @classmethod
-    def from_stream(
-        cls,
-        stream: CompressedStream,
-        units_per_pe: int = 8,
-        streamed: bool = False,
-    ) -> "CompressionEffect":
-        return cls(
-            cr=stream.compression_ratio,
-            segments_total=stream.num_segments,
-            units_per_pe=units_per_pe,
-            streamed=streamed,
-        )
-
-    @classmethod
-    def from_blob(
-        cls,
-        blob: CompressedBlob,
-        units_per_pe: int = 8,
-        streamed: bool = False,
-    ) -> "CompressionEffect":
-        """Effect of any registered codec's output (see ``repro.core.codecs``).
-
-        Lossless codecs report no segments, so their effect models a
-        volume-only change (weight fetch scaled by CR, zero per-segment
-        decompressor init cost).
-        """
-        return cls(
-            cr=blob.compression_ratio,
-            segments_total=blob.num_segments,
-            units_per_pe=units_per_pe,
-            streamed=streamed,
-        )
-
-    @classmethod
-    def from_provider(
-        cls,
-        provider: WeightProvider,
-        units_per_pe: int = 8,
-        streamed: bool = False,
-    ) -> "CompressionEffect":
-        """Effect of a :class:`~repro.core.provider.WeightProvider`.
-
-        The provider carries the same accounting as the blob/stream it
-        wraps, so compressed weights flow to the compute model without
-        an intermediate full-size buffer.  ``streamed`` only takes
-        effect when the provider can actually decode incrementally.
-        """
-        return cls(
-            cr=provider.compression_ratio,
-            segments_total=provider.num_segments,
-            units_per_pe=units_per_pe,
-            streamed=streamed and provider.streaming,
-        )
 
     def decompress_cycles(self, weights_per_pe: int, segments_per_pe: int) -> int:
         t = self.timing

@@ -14,7 +14,7 @@ strict decoder (:func:`repro.core.codec.decode`) refuses the payload;
   a corrupted length field can desynchronize everything after it.
 
 This is the ``"zero"`` policy of
-:meth:`repro.core.model_store.ModelArchive.apply`; the campaign
+:meth:`repro.core.model_store.ModelArchive.decode_layer`; the campaign
 (``fig_fault_campaign``) quantifies how much accuracy it buys back.
 """
 

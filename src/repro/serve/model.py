@@ -23,24 +23,17 @@ once per batch rather than once per request.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import inspect
 
 import numpy as np
 
 from .. import obs
-from ..core.codec import decode as wire_decode
-from ..core.codecs import CompressedBlob, get_codec
-from ..core.errors import CodecError, IntegrityError
-from ..core.model_store import ModelArchive
+from ..core.model_store import ModelArchive, check_on_fault
 from ..nn.graph import Model
 from ..runtime.keys import fingerprint_bytes, result_key
 from .cache import DecodedWeightCache
 
-__all__ = ["ServedModel", "decoded_weight_key", "ON_FAULT_POLICIES"]
-
-#: degradation policies accepted by :class:`ServedModel` — the same
-#: contract as :meth:`repro.core.model_store.ModelArchive.apply`
-ON_FAULT_POLICIES = ("raise", "zero", "raw")
+__all__ = ["ServedModel", "decoded_weight_key"]
 
 
 def decoded_weight_key(payload: bytes, spec: dict | None, shape: tuple) -> str:
@@ -63,28 +56,6 @@ def decoded_weight_key(payload: bytes, spec: dict | None, shape: tuple) -> str:
     )
 
 
-class _CompressedLayer:
-    """One compressed archive layer: its blob, key, and decode recipe."""
-
-    __slots__ = ("name", "payload", "spec", "shape", "key")
-
-    def __init__(self, name: str, payload: bytes, spec: dict | None, shape: tuple):
-        self.name = name
-        self.payload = payload
-        self.spec = spec
-        self.shape = tuple(int(s) for s in shape)
-        self.key = decoded_weight_key(payload, spec, self.shape)
-
-    def decode(self) -> np.ndarray:
-        """Full decode of the layer's weight stream (cache-miss path)."""
-        if self.spec is None:
-            return wire_decode(self.payload).decompress().ravel()
-        codec = get_codec(self.spec["name"], **self.spec.get("params", {}))
-        blob = CompressedBlob.rebuild(self.spec, self.payload)
-        blob.verify(context=f"layer {self.name!r}")
-        return np.asarray(codec.decode(blob)).ravel()
-
-
 class ServedModel:
     """An archive-backed model exposing the serving forward contract.
 
@@ -100,7 +71,10 @@ class ServedModel:
         proxy the archive was compressed from).  Raw layers and state
         are installed into it immediately; compressed layers are left
         untouched (their stored weights are never read on the serving
-        path).
+        path).  Every compressed layer must accept a
+        ``weight_provider`` in its forward (``Dense``, ``Conv2D``,
+        ``DepthwiseConv2D``); any other compressed layer, e.g. a
+        batch norm, raises :class:`ValueError` here.
     archive:
         The compressed container to serve.
     cache:
@@ -112,20 +86,14 @@ class ServedModel:
         validation).
     on_fault:
         Per-layer degradation policy when a compressed payload fails
-        integrity verification or decoding on the serving path — the
-        same contract as :meth:`ModelArchive.apply`:
+        integrity verification or decoding on the serving path:
+        ``"raise"`` (default; the forward fails and the service answers
+        ``Failed``), ``"zero"`` or ``"raw"``, exactly as in
+        :meth:`ModelArchive.decode_layer`, which every cache fill calls.
 
-        * ``"raise"`` (default) — propagate the :class:`CodecError`;
-          the forward fails and the service answers ``Failed``;
-        * ``"zero"`` — salvage the undamaged line-fit segments and
-          zero-fill the rest (whole-layer zeros for other codecs);
-        * ``"raw"`` — restore the archive's uncompressed fallback copy
-          (requires ``compress_model(..., raw_fallback=True)``).
-
-        A degraded layer is recorded in :attr:`damage` (layer ->
-        report, including the structured
-        :class:`~repro.resilience.degrade.DamageReport` fields when the
-        zero policy salvaged a line-fit payload), counted once under
+        A degraded layer is recorded in :attr:`damage` (layer -> the
+        report ``decode_layer`` returns, the same dict
+        :meth:`ModelArchive.apply` returns), counted once under
         ``serve.degraded.layers``, and surfaced in every subsequent
         ``Ok`` reply's ``degraded`` metadata — a replica holding a
         damaged archive keeps serving instead of dying.
@@ -139,10 +107,7 @@ class ServedModel:
         input_shape: tuple[int, ...] | None = None,
         on_fault: str = "raise",
     ) -> None:
-        if on_fault not in ON_FAULT_POLICIES:
-            raise ValueError(
-                f"unknown degradation policy {on_fault!r}; use {ON_FAULT_POLICIES}"
-            )
+        check_on_fault(on_fault)
         self.model = model
         self.archive = archive
         self.cache = cache if cache is not None else DecodedWeightCache()
@@ -150,75 +115,35 @@ class ServedModel:
         self.on_fault = on_fault
         #: layer -> degradation report; empty while weights are pristine
         self.damage: dict[str, dict] = {}
-        # raw layers + non-weight state install once; compressed layers
-        # resolve per forward through the cache
-        for name, arr in archive.raw.items():
-            if name not in model:
-                raise ValueError(f"archive layer {name!r} unknown to model")
-            model.set_weights(name, arr)
-        if archive.state:
-            current = model.state_dict()
-            for key, arr in archive.state.items():
-                if key not in current:
-                    raise ValueError(f"archive state key {key!r} unknown to model")
-                current[key] = arr
-            model.load_state_dict(current)
-        self._compressed = []
+        #: compressed layer -> content address of its decoded weights
+        self._keys: dict[str, str] = {}
         for name, (payload, shape) in archive.compressed.items():
             if name not in model:
                 raise ValueError(f"archive layer {name!r} unknown to model")
-            self._compressed.append(
-                _CompressedLayer(name, payload, archive.codecs.get(name), shape)
+            layer = model[name]
+            if "weight_provider" not in inspect.signature(layer.forward).parameters:
+                raise ValueError(
+                    f"archive compresses layer {name!r}, but its "
+                    f"{type(layer).__name__} forward cannot stream weights"
+                )
+            self._keys[name] = decoded_weight_key(
+                payload, archive.codecs.get(name), shape
             )
+        # raw layers + non-weight state install once; compressed layers
+        # resolve per forward through the cache
+        archive.install_uncompressed(model)
 
     @property
     def compressed_layers(self) -> list[str]:
-        return [c.name for c in self._compressed]
+        return list(self._keys)
 
-    # -- degraded-mode decode ----------------------------------------------
-    def _degrade(self, c: _CompressedLayer, exc: CodecError) -> tuple[np.ndarray, dict]:
-        """Salvage one damaged layer under :attr:`on_fault` (not "raise")."""
-        num_weights = int(np.prod(c.shape, dtype=np.int64))
-        if self.on_fault == "raw":
-            fb = self.archive.fallback.get(c.name)
-            if fb is None:
-                raise IntegrityError(
-                    f"layer {c.name!r} is damaged and the archive stores no "
-                    f"raw fallback copy (build with compress_model(raw_fallback=True))"
-                ) from exc
-            arr = np.ascontiguousarray(fb, dtype=np.float32).ravel()
-            return arr, {"action": "raw-fallback", "error": str(exc)}
-        # "zero": salvage undamaged line-fit frames, zero everything else
-        terminal = (c.spec["name"].rsplit("|", 1)[-1] if c.spec else "linefit").strip()
-        if terminal == "linefit" and (c.spec is None or c.spec["name"] == "linefit"):
-            from ..resilience.degrade import decode_degraded  # late: avoid cycle
-
-            try:
-                stream, report = decode_degraded(c.payload, num_weights)
-                return stream.ravel(), {
-                    "action": "zero-fill (salvaged segments)",
-                    "error": str(exc),
-                    **asdict(report),
-                }
-            except CodecError:
-                pass  # structurally unsalvageable: fall through to full zero
-        return (
-            np.zeros(num_weights, dtype=np.float32),
-            {"action": "zero-fill (whole layer)", "error": str(exc)},
-        )
-
-    def _resolve(self, c: _CompressedLayer) -> np.ndarray:
-        """Cache-miss decode honouring the degradation policy."""
-        try:
-            return c.decode()
-        except CodecError as exc:
-            if self.on_fault == "raise":
-                raise
-            arr, report = self._degrade(c, exc)
-            if c.name not in self.damage:
-                self.damage[c.name] = report
-                obs.current().count("serve.degraded.layers")
-            return arr
+    def _decode(self, name: str) -> np.ndarray:
+        """Cache-miss decode honouring :attr:`on_fault`."""
+        weights, report = self.archive.decode_layer(name, self.on_fault)
+        if report is not None and name not in self.damage:
+            self.damage[name] = report
+            obs.current().count("serve.degraded.layers")
+        return weights
 
     def providers(self) -> dict[str, object]:
         """Resolve every compressed layer through the cache (hot path).
@@ -228,8 +153,8 @@ class ServedModel:
         batch — this is where serving amortizes the decode.
         """
         return {
-            c.name: self.cache.provider(c.key, lambda c=c: self._resolve(c))
-            for c in self._compressed
+            name: self.cache.provider(key, lambda name=name: self._decode(name))
+            for name, key in self._keys.items()
         }
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -66,10 +66,3 @@ class TestCycleModel:
     def test_cycles_for_aggregate_counts(self):
         unit = DecompressionUnit()
         assert unit.cycles_for(num_weights=1000, num_segments=300) == 1300
-
-    def test_emit_matches_accumulate(self, rng):
-        w = rng.normal(size=200).astype(np.float32)
-        stream = compress_percent(w, 10.0)
-        np.testing.assert_array_equal(
-            DecompressionUnit().emit(stream), decompress_accumulate(stream)
-        )

@@ -130,7 +130,7 @@ class TestIntegrityAndDegradation:
         fresh = lenet5.proxy(np.random.default_rng(7))
         report = archive.apply(fresh, on_fault="zero")
         assert set(report) == {"dense_1"}
-        assert "zero-fill" in report["dense_1"]
+        assert report["dense_1"]["action"].startswith("zero-fill")
         # the model still runs end to end
         fresh.predict(split.x_test[:8])
 
@@ -141,7 +141,8 @@ class TestIntegrityAndDegradation:
         )
         fresh = lenet5.proxy(np.random.default_rng(8))
         report = archive.apply(fresh, on_fault="raw")
-        assert report == {"dense_1": "raw-fallback"}
+        assert set(report) == {"dense_1"}
+        assert report["dense_1"]["action"] == "raw-fallback"
         np.testing.assert_array_equal(
             fresh.get_weights("dense_1"), model.get_weights("dense_1")
         )

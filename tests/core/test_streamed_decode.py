@@ -14,15 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codecs import get_codec
+from repro.core.codecs import LineFitCodec, get_codec
 from repro.core.compression import compress
 from repro.core.decompressor import WeightStream, decompress_accumulate
-from repro.core.provider import (
-    ArrayProvider,
-    BlobProvider,
-    StreamProvider,
-    provider_for,
-)
+from repro.core.provider import ArrayProvider, BlobProvider, provider_for
 
 from .test_fuzz_codecs import ALL_CODECS
 
@@ -64,8 +59,11 @@ class TestWeightStreamBitIdentical:
         stream = compress(_weights(seed, 3000), delta=0.05)
         ref = decompress_accumulate(stream, acc_dtype=acc_dtype)
         ws = WeightStream(stream, acc_dtype=acc_dtype)
-        out = np.concatenate(list(ws.tiles(tile)))
-        np.testing.assert_array_equal(out, ref)
+        tiles = []
+        while ws.remaining:
+            tiles.append(ws.read(tile))
+        assert all(t.size == tile for t in tiles[:-1])
+        np.testing.assert_array_equal(np.concatenate(tiles), ref)
 
     def test_reset_restarts_the_pass(self):
         stream = compress(_weights(3, 2000), delta=0.05)
@@ -110,6 +108,19 @@ class TestProvidersBitIdentical:
             np.asarray(codec.decode(blob), dtype=np.float32),
         )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason='ROADMAP "One decoder": LineFitCodec.decode evaluates m*x+q '
+        "in float64, the streamed provider runs the float32 accumulator; "
+        "at 200k weights they differ (max |diff| ~2.4e-7)",
+    )
+    def test_codec_decode_equals_provider_at_scale(self):
+        blob = get_codec("linefit", delta_pct=10.0).encode(_weights(0, 200_000))
+        np.testing.assert_array_equal(
+            get_codec("linefit", delta_pct=10.0).decode(blob),
+            provider_for(blob).materialize(),
+        )
+
     def test_non_linefit_blobs_fall_back_to_materialization(self):
         blob = get_codec("rle").encode(_weights(1, 500))
         provider = provider_for(blob)
@@ -117,13 +128,13 @@ class TestProvidersBitIdentical:
 
     @pytest.mark.parametrize("acc_dtype", ACC_DTYPES)
     def test_stream_provider_equals_decompress_accumulate(self, acc_dtype):
-        stream = compress(_weights(5, 4096), delta=0.05)
-        provider = provider_for(stream)
-        assert isinstance(provider, StreamProvider)
+        codec = LineFitCodec(delta=0.05)
+        blob = codec.encode(_weights(5, 4096))
+        provider = provider_for(blob)
         assert provider.streaming
         np.testing.assert_array_equal(
             provider.materialize(dtype=acc_dtype),
-            decompress_accumulate(stream, acc_dtype=acc_dtype),
+            decompress_accumulate(codec.decode_stream(blob), acc_dtype=acc_dtype),
         )
 
     def test_array_provider_round_trip(self):
@@ -139,10 +150,12 @@ class TestProvidersBitIdentical:
     def test_provider_for_rejects_garbage(self):
         with pytest.raises(TypeError):
             provider_for(object())
+        # a parsed line-fit stream is not a provider source: encode it
+        with pytest.raises(TypeError):
+            provider_for(compress(_weights(8, 64), delta=0.05))
 
     def test_cursors_are_independent_passes(self):
-        stream = compress(_weights(9, 2048), delta=0.05)
-        provider = provider_for(stream)
+        provider = provider_for(LineFitCodec(delta=0.05).encode(_weights(9, 2048)))
         a, b = provider.cursor(), provider.cursor()
         first = a.read(512)
         np.testing.assert_array_equal(b.read(512), first)

@@ -98,13 +98,16 @@ class TestArchiveAcrossCodecs:
 
 class TestAcceleratorAcrossCodecs:
     def test_effects_for_every_codec(self):
+        from repro.core.codecs import get_codec
+
         spec = lenet5.full()
         acc = Accelerator()
         base = acc.run_model(spec, mode="txn").total_latency.total
+        weights = spec.materialize("dense_1", seed=0).ravel()
         latencies = {}
         for codec in ("linefit", "huffman", "rle"):
-            effects = acc.effects_for(spec, {"dense_1": 15.0}, codec=codec)
-            res = acc.run_model(spec, effects, mode="txn")
+            blob = get_codec(codec, delta_pct=15.0).encode(weights)
+            res = acc.run_model(spec, {"dense_1": blob}, mode="txn")
             latencies[codec] = res.total_latency.total
         # line-fit at delta 15% genuinely shrinks the weight traffic
         assert latencies["linefit"] < base

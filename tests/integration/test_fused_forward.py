@@ -8,9 +8,10 @@ materialized forward.  Two provider flavors are exercised:
 * :class:`ArrayProvider` over the exact same weights — results must be
   **bit-identical** (same dtype, same blocked GEMM accumulation order is
   not required, so equality is checked to float32 resolution);
-* :class:`StreamProvider` over the line-fit compressed stream, with the
-  materialized pass using the same *decoded* weights — both paths then
-  consume identical values, so any difference is a streaming bug.
+* the streaming :class:`BlobProvider` over the line-fit compressed
+  blob, with the materialized pass using the same *decoded* weights —
+  both paths then consume identical values, so any difference is a
+  streaming bug.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.compression import compress
+from repro.core.codecs import LineFitCodec
 from repro.core.decompressor import decompress_accumulate
 from repro.core.provider import ArrayProvider, provider_for
 from repro.nn import zoo
@@ -79,13 +80,14 @@ def test_first_layer_streamed_compressed_equals_materialized(module):
     spec = module.full()
     layer_spec = _first_parametric(spec)
     weights = spec.materialize(layer_spec.name).ravel()
-    stream = compress(weights, delta=0.05)
-    decoded = decompress_accumulate(stream)
+    codec = LineFitCodec(delta=0.05)
+    blob = codec.encode(weights)
+    decoded = decompress_accumulate(codec.decode_stream(blob))
 
     layer = _build_layer(layer_spec, decoded)
     x = _small_input(layer, np.random.default_rng(13))
     ref = layer.forward(x)
-    out = layer.forward(x, weight_provider=provider_for(stream))
+    out = layer.forward(x, weight_provider=provider_for(blob))
     np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-5)
 
 

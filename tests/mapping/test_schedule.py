@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import compress_percent
+from repro.mapping import Accelerator
 from repro.mapping.schedule import CompressionEffect, build_schedule
 from repro.noc import Mesh, TrafficClass
 from repro.nn.arch import ArchBuilder
@@ -74,7 +75,7 @@ class TestBuildSchedule:
 class TestCompressionEffect:
     def _effect(self, delta=10.0, units=8):
         w = np.random.default_rng(0).normal(size=40_000).astype(np.float32)
-        return CompressionEffect.from_stream(
+        return Accelerator().compression_effect(
             compress_percent(w, delta), units_per_pe=units
         ), w
 

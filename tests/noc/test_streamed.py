@@ -15,12 +15,14 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+import pytest
 
-from repro.core.codecs import LineFitCodec
+from repro.core.codecs import LineFitCodec, get_codec
+from repro.core.compression import compress_percent
 from repro.core.provider import provider_for
 from repro.mapping import Accelerator
 from repro.mapping.accelerator import AcceleratorConfig
-from repro.mapping.schedule import CompressionEffect, build_schedule
+from repro.mapping.schedule import build_schedule
 from repro.nn import zoo
 from repro.noc import (
     MemoryInterface,
@@ -136,11 +138,12 @@ class TestTransactionLevelOverlap:
         w = spec.materialize("dense_1").ravel()
         blob = LineFitCodec(delta=0.05).encode(w)
         mesh = Mesh(4, 4)
+        acc = Accelerator()
         base = build_schedule(
-            layer, mesh, CompressionEffect.from_blob(blob, streamed=False)
+            layer, mesh, acc.compression_effect(blob, streamed=False)
         )
         fused = build_schedule(
-            layer, mesh, CompressionEffect.from_blob(blob, streamed=True)
+            layer, mesh, acc.compression_effect(blob, streamed=True)
         )
         return base, fused
 
@@ -164,12 +167,11 @@ class TestSchedulePlumbing:
     def test_effect_from_provider_respects_streaming_capability(self):
         w = np.random.default_rng(0).standard_normal(2000).astype(np.float32)
         linefit = provider_for(LineFitCodec(delta=0.05).encode(w))
-        assert CompressionEffect.from_provider(linefit, streamed=True).streamed
-        assert not CompressionEffect.from_provider(linefit, streamed=False).streamed
+        acc = Accelerator()
+        assert acc.compression_effect(linefit, streamed=True).streamed
+        assert not acc.compression_effect(linefit, streamed=False).streamed
         materialized = provider_for(w)  # ArrayProvider: nothing to stream
-        assert not CompressionEffect.from_provider(
-            materialized, streamed=True
-        ).streamed
+        assert not acc.compression_effect(materialized, streamed=True).streamed
 
     def test_uncompressed_schedule_is_never_streamed(self):
         sched = build_schedule(zoo.lenet5.full().layer("dense_1"), Mesh(4, 4))
@@ -195,3 +197,23 @@ class TestSchedulePlumbing:
             spec, {"dense_1": provider_for(blob)}
         )
         assert fused.total_latency.total < base.total_latency.total
+
+    @pytest.mark.parametrize("streamed_decode", [False, True])
+    @pytest.mark.parametrize(
+        "codec", ["linefit", "quantize-int8|linefit", "huffman", "rle", "lz"]
+    )
+    def test_blob_and_provider_agree(self, codec, streamed_decode):
+        """One effect per set of weights, whatever form they arrive in:
+        ``streamed`` applies only when the weights decode incrementally,
+        for a blob and its provider alike."""
+        spec = zoo.lenet5.full()
+        w = spec.materialize("dense_1", seed=0).ravel()
+        blob = get_codec(codec, delta_pct=10.0).encode(w)
+        acc = Accelerator(AcceleratorConfig(streamed_decode=streamed_decode))
+        via_blob = acc.run_model(spec, {"dense_1": blob})
+        assert acc.run_model(spec, {"dense_1": provider_for(blob)}) == via_blob
+        if codec != "linefit":  # whole-payload decoders never overlap
+            assert Accelerator().run_model(spec, {"dense_1": blob}) == via_blob
+        else:
+            stream = compress_percent(w, 10.0)
+            assert acc.run_model(spec, {"dense_1": stream}) == via_blob

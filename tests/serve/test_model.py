@@ -67,6 +67,17 @@ class TestWiring:
         with pytest.raises(ValueError, match="unknown to model"):
             ServedModel(small, archive)
 
+    def test_layer_without_streamed_forward_rejected(self):
+        # a compressed batch norm has parameters but no fused forward:
+        # refuse it at construction instead of failing every request
+        from repro.nn import zoo
+
+        archive = compress_model(
+            zoo.mobilenet.proxy(np.random.default_rng(0)), {"conv1_bn": 10.0}
+        )
+        with pytest.raises(ValueError, match="'conv1_bn'.*BatchNorm2D"):
+            ServedModel(zoo.mobilenet.proxy(np.random.default_rng(0)), archive)
+
     def test_lossless_codec_roundtrip_exact(self):
         # huffman stores the exact weights: serving equals the original
         original = mlp()
@@ -144,6 +155,13 @@ class TestDegradedMode:
         archive.apply(reference, on_fault="zero")
         for x in inputs(3):
             assert np.array_equal(sm.forward(x), reference.forward(x[None])[0])
+
+    def test_damage_report_equals_archive_apply_report(self):
+        # one decode-with-policy routine, one report shape
+        archive = damaged_archive()
+        sm = ServedModel(mlp(), archive, input_shape=(12,), on_fault="zero")
+        sm.forward(inputs(1)[0])
+        assert sm.damage == archive.apply(mlp(), on_fault="zero")
 
     def test_raw_policy_restores_fallback_exactly(self):
         pristine = mlp()
