@@ -167,8 +167,10 @@ def test_decode_throughput(benchmark, machine_scale):
     """Per-codec decode bandwidth, materialized and streamed arms.
 
     Each codec must stay within ``MAX_SLOWDOWN`` of its committed MB/s
-    on both arms (after machine scaling); a drop means the vectorized
-    batch decoder or a provider cursor has regressed.
+    on both arms (after machine scaling); a drop means the decode plan,
+    its kernel or a provider cursor has regressed.  Besides the Gaussian
+    stream every codec decodes, a line-fit ramp of 65535-weight segments
+    (the length field's limit) guards the kernel's long-segment branch.
     """
     spec = BASELINE["decode_throughput"]
     weights = (
@@ -176,31 +178,38 @@ def test_decode_throughput(benchmark, machine_scale):
         .standard_normal(spec["num_weights"])
         .astype(np.float32)
     )
-    mb = weights.nbytes / 1e6
+    ramp_spec = spec["long_segments"]
+    ramp = np.linspace(-1.0, 1.0, ramp_spec["num_weights"], dtype=np.float32)
     tile = spec["tile_weights"]
 
+    def rates(codec, stream):
+        blob = codec.encode(stream)
+        t_mat = min(_timed(codec.decode, blob) for _ in range(2))
+
+        def streamed():
+            cur = BlobProvider(blob).cursor()
+            while cur.remaining:
+                cur.read(tile)
+
+        t_str = min(_timed(streamed) for _ in range(2))
+        mb = stream.nbytes / 1e6
+        return mb / t_mat, mb / t_str
+
     def measure():
-        rates = {}
-        for name in spec["codecs"]:
-            codec = get_codec(name, delta_pct=10.0)
-            blob = codec.encode(weights)
-            t_mat = min(_timed(codec.decode, blob) for _ in range(2))
+        out = {
+            name: rates(get_codec(name, delta_pct=10.0), weights)
+            for name in spec["codecs"]
+        }
+        out["long_segments"] = rates(LineFitCodec(delta_pct=10.0), ramp)
+        return out
 
-            def streamed():
-                cur = BlobProvider(blob).cursor()
-                while cur.remaining:
-                    cur.read(tile)
-
-            t_str = min(_timed(streamed) for _ in range(2))
-            rates[name] = (mb / t_mat, mb / t_str)
-        return rates
-
-    rates = benchmark.pedantic(measure, rounds=1, iterations=1)
-    for name, entry in spec["codecs"].items():
-        for arm, measured in zip(("materialized_mbps", "streamed_mbps"), rates[name]):
+    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
+    entries = {**spec["codecs"], "long_segments": ramp_spec}
+    for name, entry in entries.items():
+        for arm, got in zip(("materialized_mbps", "streamed_mbps"), measured[name]):
             required = entry[arm] / (machine_scale * MAX_SLOWDOWN)
-            assert measured >= required, (
-                f"{name} {arm}: {measured:.1f} MB/s below the "
+            assert got >= required, (
+                f"{name} {arm}: {got:.1f} MB/s below the "
                 f"{required:.1f} MB/s floor (committed {entry[arm]} MB/s / "
                 f"machine scale {machine_scale:.2f} / slowdown guard "
                 f"{MAX_SLOWDOWN}) — decode throughput has regressed; if "

@@ -9,8 +9,9 @@ linefit
 compression
     ``compress`` / ``CompressedStream`` — the public compression API.
 decompressor
-    Cycle/bit-level model of the on-PE decompression unit (Fig. 6),
-    vectorized batch decode and the ``WeightStream`` tile cursor.
+    Cycle/bit-level model of the on-PE decompression unit (Fig. 6):
+    the ``DecodePlan`` built once per stream, its column-step
+    accumulator kernel, and the ``WeightStream`` tile cursor.
 provider
     Streamed weight delivery: the ``WeightProvider`` contract that lets
     consumers pull decoded tiles on demand (fused decode+MAC).
@@ -65,6 +66,7 @@ from .compression import (
     quantize_coefficient,
 )
 from .decompressor import (
+    DecodePlan,
     DecompressionUnit,
     DecompressorTiming,
     WeightStream,
@@ -117,6 +119,7 @@ __all__ = [
     "compress",
     "compress_percent",
     "quantize_coefficient",
+    "DecodePlan",
     "DecompressionUnit",
     "DecompressorTiming",
     "WeightStream",

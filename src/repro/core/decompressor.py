@@ -15,26 +15,39 @@ Numerical faithfulness: the accumulator runs in the dtype the consumer
 asks for — ``float32`` on the fused nn path — whatever the storage
 format (the int8 format's ``float16`` coefficients are widened before
 accumulating), so the emitted stream differs slightly from the
-mathematically evaluated line for long segments.
-``decompress_accumulate`` reproduces the accumulator bit pattern exactly:
-NumPy's ``cumsum`` is strictly sequential, so a per-segment cumsum in the
-accumulator dtype *is* the hardware recurrence.  The batch decoder
-exploits that along ``axis=1`` of a segments-by-length matrix — every
-same-length segment is one row, and one axis-1 cumsum runs all their
-accumulators in parallel, bit-identical to looping the FSM per segment.
-The Python-level loop is over *distinct segment lengths* only (a handful
-for real weight streams), not over segments, and certainly not weights.
+mathematically evaluated line for long segments.  The software decoder
+reproduces the accumulator bit pattern exactly: every emitted weight is
+the result of the same float additions, in the same order, as the
+scalar Eq. (2) loop.
 
-:class:`WeightStream` is the tile-cursor face of the same decoder: it
-walks the segment list front to back and materializes decoded weights
-tile by tile, so a consumer (the fused decode+MAC path in
-:mod:`repro.nn.layers`, via :mod:`repro.core.provider`) never holds more
-than one tile plus one segment batch — the full-size weight buffer the
-paper's PE avoids in hardware is avoided in the model too.
+The decoder is split in two.  A :class:`DecodePlan` is built once per
+parsed stream and accumulator dtype: it rounds ⟨m, q⟩ to storage
+precision, cuts the segments into blocks of about
+:data:`DEFAULT_TILE_WEIGHTS` weights at segment boundaries, and sorts
+each block's segments longest first.  The kernel then runs a block
+*column by column* — one accumulator per segment, all advanced by one
+in-place vector add per column, the ``c_j`` segments still running
+being a prefix of the sorted block — so the Python-level loop is over
+the columns of a block (about its longest short segment), not over
+segments or weights.  When a block's remaining columns outnumber its
+running segments (a long ramp segment), each of those segments finishes
+in one in-place ``cumsum`` over its remaining weights, seeded from its
+accumulator: NumPy's ``cumsum`` is a strict left-to-right accumulation,
+so that too is the hardware recurrence, and a 65535-weight segment
+costs one ``cumsum``, not 65535 Python steps.
+
+:class:`WeightStream` is the tile-cursor face of the kernel, and
+:func:`decompress_accumulate` is one read of all of it.  The cursor
+decodes whole plan blocks as reads need them, so a consumer (the fused
+decode+MAC path in :mod:`repro.nn.layers`, via
+:mod:`repro.core.provider`) never holds more than one tile plus one
+block — the full-size weight buffer the paper's PE avoids in hardware
+is avoided in the model too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +57,13 @@ from .compression import CompressedStream
 __all__ = [
     "DecompressorTiming",
     "DecompressionUnit",
+    "DecodePlan",
     "WeightStream",
     "decompress_accumulate",
 ]
 
 #: default tile size of the fused nn path, in weights — 16 KB of
-#: float32, two PE-local memories' worth
+#: float32, two PE-local memories' worth; also the decode-plan block size
 DEFAULT_TILE_WEIGHTS = 4096
 
 
@@ -67,37 +81,113 @@ class DecompressorTiming:
     run_cycles_per_weight: int = 1
 
 
-def _accumulate_batch(
-    m: np.ndarray,
-    q: np.ndarray,
-    lengths: np.ndarray,
-    out: np.ndarray,
-    starts: np.ndarray,
-) -> None:
-    """Run the accumulator FSM for a batch of segments, segment-parallel.
+class DecodePlan:
+    """A parsed line-fit stream laid out for the column-step kernel.
 
-    Writes each segment's emitted weights into ``out`` at its ``starts``
-    offset.  Same-length segments are stacked into one ``(k, L)`` matrix
-    whose rows are ``[q, m, m, ...]``; an axis-1 ``cumsum`` in the
-    output dtype performs all ``k`` sequential recurrences at once —
-    NumPy's cumsum is a strict left-to-right accumulation, so each row is
-    bit-identical to the scalar FSM.
+    Built once per stream and accumulator dtype; every cursor and every
+    decode of that pair reuses it.  Holds only O(num_segments) data:
+
+    * ⟨m, q⟩ rounded to storage precision and cast to the accumulator
+      dtype, and the segment lengths;
+    * the segments cut into blocks of about
+      :data:`DEFAULT_TILE_WEIGHTS` weights (cuts only at segment
+      boundaries, so a segment longer than that ends its block), each
+      block's segments sorted longest first (stable) with their
+      block-local start offsets;
+    * per block, the count ``c_j`` of segments longer than ``j`` for
+      each column the kernel steps, and how many segments are still
+      running after the last stepped column (each finishes by
+      ``cumsum``).  A block steps columns while it has at least as many
+      running segments as columns left — past that point one Python
+      step per segment is cheaper than one per column — so it never
+      stores more counts than it has segments.
+
+    The block size bounds what a streamed read decodes ahead of the
+    tile it was asked for.
     """
-    acc_dtype = out.dtype
-    order = np.argsort(lengths, kind="stable")
-    ls = lengths[order]
-    group_starts = np.flatnonzero(np.r_[True, ls[1:] != ls[:-1]])
-    group_ends = np.r_[group_starts[1:], ls.size]
-    for gs, ge in zip(group_starts, group_ends):
-        length = int(ls[gs])
-        idx = order[gs:ge]
-        block = np.empty((idx.size, length), dtype=acc_dtype)
-        block[:, 0] = q[idx]
-        if length > 1:
-            block[:, 1:] = m[idx, None]
-            np.cumsum(block, axis=1, dtype=acc_dtype, out=block)
-        pos = starts[idx, None] + np.arange(length, dtype=np.int64)
-        out[pos.ravel()] = block.ravel()
+
+    def __init__(self, stream: CompressedStream, acc_dtype=np.float32) -> None:
+        self.dtype = np.dtype(acc_dtype)
+        m, q = stream.storage_coefficients()
+        lengths = np.asarray(stream.lengths, dtype=np.int64)
+        self.num_segments = int(lengths.size)
+        ends = np.cumsum(lengths)
+        self.num_weights = int(ends[-1]) if lengths.size else 0
+        # cut after the segment that reaches each multiple of the block size
+        targets = np.arange(DEFAULT_TILE_WEIGHTS, self.num_weights, DEFAULT_TILE_WEIGHTS)
+        cuts = np.unique(
+            np.r_[0, np.searchsorted(ends, targets) + 1, lengths.size]
+        )
+        seg_counts = np.diff(cuts)
+        block_of = np.repeat(np.arange(seg_counts.size), seg_counts)
+        longest = int(lengths.max()) if lengths.size else 0
+        # by block, then longest first; stable keeps stream order on ties
+        key = block_of * (longest + 1) + (longest - lengths)
+        order = np.argsort(key, kind="stable")
+        seg_starts = ends - lengths
+        self._m = m[order].astype(self.dtype)
+        self._q = q[order].astype(self.dtype)
+        self._lengths = lengths[order].astype(np.int32)
+        self._starts = (
+            seg_starts[order] - np.repeat(seg_starts[cuts[:-1]], seg_counts)
+        ).astype(np.int32)
+        #: per block, the stream offset one past its last weight
+        self.block_ends: list[int] = ends[cuts[1:] - 1].tolist()
+        #: per block ``(first segment, last segment, counts, tail)``
+        self._blocks: list[tuple[int, int, list[int], int]] = []
+        cuts = cuts.tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ascending = self._lengths[lo:hi][::-1]
+            n, ncols = hi - lo, int(ascending[-1])
+            # columns past n + 1 never matter: a block with fewer
+            # segments than columns hands off at column 1
+            cols = np.arange(1, min(ncols, n + 2))
+            running = n - np.searchsorted(ascending, cols, side="right")
+            handoff = np.flatnonzero(ncols - cols > running)
+            stepped = int(handoff[0]) if handoff.size else cols.size
+            tail = int(running[stepped]) if handoff.size else 0
+            self._blocks.append((lo, hi, running[:stepped].tolist(), tail))
+
+    def block_start(self, block: int) -> int:
+        """Stream offset of a block's first weight."""
+        return self.block_ends[block - 1] if block else 0
+
+    def decode_blocks(self, first: int, last: int, out: np.ndarray) -> None:
+        """Decode blocks ``[first, last)`` into ``out``, which must hold
+        exactly their weights, in stream order."""
+        base = w0 = self.block_start(first)
+        for b in range(first, last):
+            w1 = self.block_ends[b]
+            self._decode_block(b, out[w0 - base : w1 - base])
+            w0 = w1
+
+    def _decode_block(self, block: int, out: np.ndarray) -> None:
+        """The column-step kernel: Eq. (2) for one block, all segments
+        at once, each weight from exactly the scalar loop's additions."""
+        lo, hi, counts, tail = self._blocks[block]
+        m = self._m[lo:hi]
+        acc = self._q[lo:hi].copy()
+        # where each running segment's next weight goes; the running
+        # segments are always a prefix, so one in-place increment per
+        # column advances exactly them
+        pos = self._starts[lo:hi].astype(np.intp)
+        out[pos] = acc
+        for c in counts:
+            running = acc[:c]
+            running += m[:c]
+            at = pos[:c]
+            at += 1
+            out[at] = running
+        if tail:
+            # each tail segment's remaining weights are contiguous: fill
+            # them with [acc, m, m, ...] (re-emitting the last stepped
+            # column) and run the recurrence as one in-place cumsum
+            ends = pos[:tail] + (self._lengths[lo : lo + tail] - len(counts))
+            for p0, p1, mi, ai in zip(pos[:tail].tolist(), ends.tolist(), m, acc):
+                seg = out[p0:p1]
+                seg.fill(mi)
+                seg[0] = ai
+                np.cumsum(seg, out=seg)
 
 
 def decompress_accumulate(
@@ -105,55 +195,36 @@ def decompress_accumulate(
 ) -> np.ndarray:
     """Bit-faithful accumulator decompression of a compressed stream.
 
-    Segment-parallel batch decode: segments are grouped by length and
-    each group's recurrences run as one vectorized axis-1 cumsum in the
-    accumulator dtype, reproducing the sequential recurrence of Eq. (2)
-    exactly (see :func:`_accumulate_batch`).  For accuracy studies
-    prefer :meth:`CompressedStream.decompress`, which evaluates the
-    mathematical line in float64.
+    Runs the column-step kernel over every block of the stream's plan,
+    reproducing the sequential recurrence of Eq. (2) exactly.  For
+    accuracy studies prefer :meth:`CompressedStream.decompress`, which
+    evaluates the mathematical line in float64.
     """
-    m, q = stream.storage_coefficients()
-    lengths = np.asarray(stream.lengths, dtype=np.int64)
-    n = int(lengths.sum()) if lengths.size else 0
-    out = np.empty(n, dtype=acc_dtype)
-    if n == 0:
-        return out
-    starts = np.cumsum(lengths) - lengths
-    _accumulate_batch(
-        m.astype(acc_dtype), q.astype(acc_dtype), lengths, out, starts
-    )
-    return out
+    return WeightStream(DecodePlan(stream, acc_dtype)).read(stream.num_weights)
 
 
 class WeightStream:
-    """Forward tile cursor over a compressed stream's decoded weights.
+    """Forward tile cursor over a decode plan's weights.
 
     Decodes on demand: :meth:`read` materializes exactly the requested
-    number of weights (decoding whole segments internally and carrying
-    the partial tail to the next call).  Peak memory is one tile plus
-    one decoded segment batch — the full weight array is never
-    allocated.
+    number of weights, decoding whole plan blocks and carrying the
+    partial tail to the next call.  Peak memory is one tile plus one
+    block — the full weight array is never allocated — and nothing is
+    re-planned per read.
 
-    Every emitted value is bit-identical to the corresponding element of
-    :func:`decompress_accumulate` on the same stream, because segments
-    are always decoded whole through the same batch accumulator.
+    Every emitted value is bit-identical to the scalar Eq. (2) loop
+    however the reads are chunked: the kernel gives each weight exactly
+    the scalar loop's additions, whichever block it falls in.
     """
 
-    def __init__(
-        self, stream: CompressedStream, acc_dtype=np.float32
-    ) -> None:
-        m, q = stream.storage_coefficients()
-        self._acc_dtype = np.dtype(acc_dtype)
-        self._m = m.astype(self._acc_dtype)
-        self._q = q.astype(self._acc_dtype)
-        self._lengths = np.asarray(stream.lengths, dtype=np.int64)
-        self._ends = np.cumsum(self._lengths) if self._lengths.size else np.zeros(0, np.int64)
-        self.num_weights = int(self._ends[-1]) if self._lengths.size else 0
+    def __init__(self, plan: DecodePlan) -> None:
+        self._plan = plan
+        self.num_weights = plan.num_weights
         self.reset()
 
     @property
     def dtype(self) -> np.dtype:
-        return self._acc_dtype
+        return self._plan.dtype
 
     @property
     def position(self) -> int:
@@ -167,46 +238,30 @@ class WeightStream:
     def reset(self) -> None:
         """Rewind the cursor to the start of the stream."""
         self._pos = 0
-        self._seg = 0  # next segment to decode
-        self._carry: np.ndarray = np.empty(0, dtype=self._acc_dtype)
-        self._carry_off = 0
-
-    def _decode_through(self, needed: int) -> None:
-        """Decode whole segments until the carry holds >= ``needed``."""
-        carried = self._carry.size - self._carry_off
-        if carried >= needed or self._seg >= self._lengths.size:
-            return
-        # first segment index whose end covers the request
-        target = self._pos + needed
-        last = int(np.searchsorted(self._ends, target, side="left"))
-        last = min(last + 1, int(self._lengths.size))
-        sl = slice(self._seg, last)
-        lengths = self._lengths[sl]
-        total = int(lengths.sum())
-        batch = np.empty(total, dtype=self._acc_dtype)
-        starts = np.cumsum(lengths) - lengths
-        _accumulate_batch(self._m[sl], self._q[sl], lengths, batch, starts)
-        self._seg = last
-        if carried:
-            self._carry = np.concatenate(
-                [self._carry[self._carry_off :], batch]
-            )
-        else:
-            self._carry = batch
+        self._block = 0  # next plan block to decode
+        self._carry: np.ndarray = np.empty(0, dtype=self.dtype)
         self._carry_off = 0
 
     def read(self, n: int) -> np.ndarray:
         """The next ``min(n, remaining)`` decoded weights, in order."""
         n = min(int(n), self.remaining)
         if n <= 0:
-            return np.empty(0, dtype=self._acc_dtype)
-        self._decode_through(n)
+            return np.empty(0, dtype=self.dtype)
+        carried = self._carry.size - self._carry_off
+        if carried < n:
+            plan, first = self._plan, self._block
+            last = bisect_left(plan.block_ends, self._pos + n, lo=first) + 1
+            buf = np.empty(
+                carried + plan.block_ends[last - 1] - plan.block_start(first),
+                dtype=self.dtype,
+            )
+            buf[:carried] = self._carry[self._carry_off :]
+            plan.decode_blocks(first, last, buf[carried:])
+            self._block = last
+            self._carry, self._carry_off = buf, 0
         out = self._carry[self._carry_off : self._carry_off + n]
         self._carry_off += n
         self._pos += n
-        if self._carry_off == self._carry.size:
-            self._carry = np.empty(0, dtype=self._acc_dtype)
-            self._carry_off = 0
         return out
 
 

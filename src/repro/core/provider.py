@@ -11,7 +11,9 @@ decides how the tiles come to exist —
 * :class:`BlobProvider` adapts any registered codec's
   :class:`~repro.core.codecs.CompressedBlob`.  A blob that decodes
   incrementally (:attr:`CompressedBlob.streaming`: a pure ``linefit``
-  payload) streams for real: cursors decode on demand through
+  payload) streams for real: the provider builds a
+  :class:`~repro.core.decompressor.DecodePlan` once and its cursors
+  decode on demand through
   :class:`~repro.core.decompressor.WeightStream`, so the full weight
   array is never allocated — the software analogue of the paper's
   in-PE decompression unit feeding the MAC datapath directly.  Other
@@ -33,8 +35,7 @@ import threading
 
 import numpy as np
 
-from .compression import CompressedStream
-from .decompressor import WeightStream
+from .decompressor import DecodePlan, WeightStream
 from .errors import CodecError
 
 __all__ = [
@@ -50,10 +51,10 @@ class WeightCursor:
     """Forward read cursor over one pass of a provider's weight stream.
 
     The base implementation serves slices of a backing array; streaming
-    providers substitute a :class:`~repro.core.decompressor.WeightStream`
-    backed cursor.  ``read(n)`` returns exactly ``min(n, remaining)``
-    elements; returned arrays may be views and must be treated as
-    read-only by consumers.
+    providers return a :class:`~repro.core.decompressor.WeightStream`,
+    which has the same interface.  ``read(n)`` returns exactly
+    ``min(n, remaining)`` elements; returned arrays may be views and
+    must be treated as read-only by consumers.
     """
 
     def __init__(self, data: np.ndarray) -> None:
@@ -69,20 +70,6 @@ class WeightCursor:
         out = self._data[self._pos : self._pos + n]
         self._pos += n
         return out
-
-
-class _StreamCursor(WeightCursor):
-    """Cursor decoding tiles on demand from a ``WeightStream``."""
-
-    def __init__(self, stream: CompressedStream, dtype) -> None:
-        self._ws = WeightStream(stream, acc_dtype=dtype)
-
-    @property
-    def remaining(self) -> int:
-        return self._ws.remaining
-
-    def read(self, n: int) -> np.ndarray:
-        return self._ws.read(n)
 
 
 class WeightProvider:
@@ -133,37 +120,43 @@ class ArrayProvider(WeightProvider):
 class BlobProvider(WeightProvider):
     """Provider over any registered codec's :class:`CompressedBlob`.
 
+    The payload is checked against the blob's recorded checksum once,
+    here, so a provider never serves weights from a damaged payload
+    (:class:`~repro.core.errors.IntegrityError` instead).
+
     A blob that decodes incrementally (:attr:`CompressedBlob.streaming`)
-    parses to a :class:`CompressedStream` once, here, and streams for
-    real.  Other codecs' decoders are whole-payload, so the first cursor
+    streams for real: the provider parses it into a
+    :class:`~repro.core.decompressor.DecodePlan` once per accumulator
+    dtype (``float32``, the dtype every nn layer reads, at
+    construction) and keeps only the plans; each cursor is a
+    :class:`~repro.core.decompressor.WeightStream` over one.  Other
+    codecs' decoders are whole-payload, so the first cursor
     materializes the decode once (cached on the provider) and
     subsequent cursors serve views — the provider contract holds either
     way, only the peak memory differs.
 
-    Providers are safe to share across threads: the materialize-once
-    step is guarded by a lock (exactly one decode runs, concurrent
-    cursors wait for the finished array instead of observing a
-    partially-populated cache), and every cursor carries its own read
+    Providers are safe to share across threads: plan building and the
+    materialize-once step are guarded by a lock (each runs exactly once,
+    concurrent cursors wait for the finished plan or array instead of
+    observing a partial one), and every cursor carries its own read
     position, so interleaved consumers never perturb each other.  The
     cached array is served as a read-only view contract — consumers
     must not write through it.
     """
 
     def __init__(self, blob) -> None:
+        blob.verify(context="weight provider")
         self._blob = blob
         self.num_weights = blob.num_weights
         self.num_segments = blob.num_segments
         self.compression_ratio = blob.compression_ratio
-        self._stream: CompressedStream | None = None
+        self._plans: dict[np.dtype, DecodePlan] = {}
         self._decoded: np.ndarray | None = None
-        self._materialize_lock = threading.Lock()
+        self._lock = threading.Lock()
         if blob.streaming:
-            from .codecs import get_codec  # local import: codecs -> core cycles
-
-            codec = get_codec(blob.codec, **blob.params)
-            self._stream = codec.decode_stream(blob)
-            self.num_weights = self._stream.num_weights
-            self.num_segments = self._stream.num_segments
+            plan = self._plan(np.float32)
+            self.num_weights = plan.num_weights
+            self.num_segments = plan.num_segments
 
     @property
     def blob(self):
@@ -173,21 +166,34 @@ class BlobProvider(WeightProvider):
     def streaming(self) -> bool:
         return self._blob.streaming
 
+    def _codec(self):
+        from .codecs import get_codec  # local import: codecs -> core cycles
+
+        return get_codec(self._blob.codec, **self._blob.params)
+
+    # Both lazy builds below are double-checked: the lock-free fast path
+    # reads state that is only ever assigned a *finished* plan or array
+    # under the lock, so concurrent cursors either miss (and queue on
+    # the lock) or see the finished object — never a partial one — and
+    # each build runs exactly once.
+    def _plan(self, dtype) -> DecodePlan:
+        dtype = np.dtype(dtype)
+        plan = self._plans.get(dtype)
+        if plan is None:
+            with self._lock:
+                plan = self._plans.get(dtype)
+                if plan is None:
+                    plan = DecodePlan(self._codec().decode_stream(self._blob), dtype)
+                    self._plans[dtype] = plan
+        return plan
+
     def _materialized(self) -> np.ndarray:
-        # double-checked: the lock-free fast path reads an attribute
-        # that is only ever assigned a *fully decoded* array under the
-        # lock, so concurrent cursors either see None (and queue on the
-        # lock) or the finished decode — never a partial one, and the
-        # decode itself runs exactly once
         decoded = self._decoded
         if decoded is None:
-            with self._materialize_lock:
+            with self._lock:
                 decoded = self._decoded
                 if decoded is None:
-                    from .codecs import get_codec
-
-                    codec = get_codec(self._blob.codec, **self._blob.params)
-                    decoded = np.asarray(codec.decode(self._blob)).ravel()
+                    decoded = np.asarray(self._codec().decode(self._blob)).ravel()
                     if self.num_weights and decoded.size != self.num_weights:
                         raise CodecError(
                             f"blob decoded to {decoded.size} weights, "
@@ -198,12 +204,12 @@ class BlobProvider(WeightProvider):
         return decoded
 
     def cursor(self, dtype=np.float32) -> WeightCursor:
-        if self._stream is not None:
-            return _StreamCursor(self._stream, dtype)
+        if self.streaming:
+            return WeightStream(self._plan(dtype))
         return WeightCursor(self._materialized().astype(dtype, copy=False))
 
     def materialize(self, dtype=np.float32) -> np.ndarray:
-        if self._stream is not None:
+        if self.streaming:
             return WeightProvider.materialize(self, dtype=dtype)
         return self._materialized().astype(dtype, copy=False)
 

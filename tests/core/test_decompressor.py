@@ -4,13 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.codecs import LineFitCodec
 from repro.core.compression import compress, compress_percent
 from repro.core.decompressor import (
+    DEFAULT_TILE_WEIGHTS,
+    DecodePlan,
     DecompressionUnit,
     DecompressorTiming,
+    WeightStream,
     decompress_accumulate,
 )
+from repro.core.provider import BlobProvider
 
 
 def _sequential_reference(stream, dtype=np.float32):
@@ -48,6 +55,107 @@ class TestAccumulatorSemantics:
         w = rng.normal(size=123)
         stream = compress(w, 0.5)
         assert decompress_accumulate(stream).shape == (123,)
+
+
+def _ramp(size: int) -> np.ndarray:
+    return np.linspace(-1.0, 1.0, size, dtype=np.float32)
+
+
+def _ramp_gaussian_mix() -> np.ndarray:
+    """Short Gaussian segments around ramps of 300 to 70k weights.
+
+    The ramps straddle block cuts (the plan cuts at multiples of
+    :data:`DEFAULT_TILE_WEIGHTS`), so blocks mix stepped columns with a
+    cumsum tail and the streamed carry crosses long segments.
+    """
+    rng = np.random.default_rng(17)
+    t = DEFAULT_TILE_WEIGHTS
+    pieces = [
+        rng.standard_normal(t - 700),
+        np.linspace(0.0, 0.9, 300),
+        rng.standard_normal(2000),
+        np.linspace(-0.5, 2.0, 2 * t + 100),
+        rng.standard_normal(1500),
+        np.linspace(2.0, -2.0, 70_000),
+        rng.standard_normal(3 * t),
+        np.linspace(-1.0, 0.0, 150),
+        rng.standard_normal(777),
+    ]
+    return np.concatenate(pieces).astype(np.float32)
+
+
+#: workload name -> (weights, LineFitCodec keyword arguments)
+_KERNEL_WORKLOADS = {
+    **{
+        f"gaussian-{pct}pct": (
+            np.random.default_rng(pct).standard_normal(30_000).astype(np.float32),
+            {"delta_pct": float(pct)},
+        )
+        for pct in (5, 10, 20, 30)
+    },
+    "ramp-200k": (_ramp(200_000), {"delta_pct": 10.0}),
+    "ramp-gaussian-mix": (_ramp_gaussian_mix(), {"delta": 0.05}),
+}
+_REFERENCES: dict = {}
+
+
+def _kernel_case(workload: str, fmt: str, acc_dtype):
+    """The blob, its parsed stream and the scalar-loop reference (cached:
+    the literal loop over 200k weights is the slow part)."""
+    key = (workload, fmt, np.dtype(acc_dtype).name)
+    if key not in _REFERENCES:
+        weights, params = _KERNEL_WORKLOADS[workload]
+        codec = LineFitCodec(fmt=fmt, **params)
+        blob = codec.encode(weights)
+        stream = codec.decode_stream(blob)
+        _REFERENCES[key] = (blob, stream, _sequential_reference(stream, acc_dtype))
+    return _REFERENCES[key]
+
+
+class TestColumnStepKernel:
+    """Every decode path equals the literal Eq. (2) loop, bit for bit, on
+    streams long enough to reach multi-block carries, the cumsum tail
+    and the 65535-weight length-field limit."""
+
+    def test_workloads_reach_every_kernel_branch(self):
+        _, stream, _ = _kernel_case("ramp-200k", "float32", np.float32)
+        assert int(stream.lengths.max()) == stream.fmt.max_segment_length
+        blocks = DecodePlan(stream)._blocks
+        assert any(tail and not counts for _, _, counts, tail in blocks)
+        _, stream, _ = _kernel_case("ramp-gaussian-mix", "float32", np.float32)
+        blocks = DecodePlan(stream)._blocks
+        assert len(blocks) > 5
+        assert any(tail and counts for _, _, counts, tail in blocks)
+        assert int(stream.lengths.max()) > 2 * DEFAULT_TILE_WEIGHTS
+
+    @pytest.mark.parametrize("acc_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fmt", ["float32", "int8"])
+    @pytest.mark.parametrize("workload", sorted(_KERNEL_WORKLOADS))
+    @settings(max_examples=6, deadline=None)
+    @given(chunks=st.lists(st.integers(1, 20_000), min_size=1, max_size=6))
+    def test_every_path_equals_scalar_loop(self, workload, fmt, acc_dtype, chunks):
+        blob, stream, ref = _kernel_case(workload, fmt, acc_dtype)
+        np.testing.assert_array_equal(decompress_accumulate(stream, acc_dtype), ref)
+        for cursor in (
+            WeightStream(DecodePlan(stream, acc_dtype)),
+            BlobProvider(blob).cursor(dtype=acc_dtype),
+        ):
+            parts, i = [], 0
+            while cursor.remaining:
+                parts.append(cursor.read(chunks[i % len(chunks)]))
+                i += 1
+            out = np.concatenate(parts)
+            assert out.dtype == ref.dtype
+            np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_degenerate_streams(self, size):
+        blob = LineFitCodec(delta_pct=10.0).encode(np.full(size, 0.5, np.float32))
+        stream = LineFitCodec().decode_stream(blob)
+        ref = _sequential_reference(stream)
+        assert ref.size == size
+        np.testing.assert_array_equal(decompress_accumulate(stream), ref)
+        np.testing.assert_array_equal(BlobProvider(blob).materialize(), ref)
 
 
 class TestCycleModel:

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codecs import LineFitCodec, get_codec
+from repro.core import provider as provider_mod
+from repro.core.codecs import CompressedBlob, LineFitCodec, get_codec
 from repro.core.compression import compress
-from repro.core.decompressor import WeightStream, decompress_accumulate
+from repro.core.decompressor import DecodePlan, WeightStream, decompress_accumulate
+from repro.core.errors import IntegrityError
 from repro.core.provider import ArrayProvider, BlobProvider, provider_for
 
 from .test_fuzz_codecs import ALL_CODECS
@@ -40,7 +42,7 @@ class TestWeightStreamBitIdentical:
         stream = compress(_weights(seed, size), delta=0.05)
         ref = decompress_accumulate(stream, acc_dtype=acc_dtype)
 
-        ws = WeightStream(stream, acc_dtype=acc_dtype)
+        ws = WeightStream(DecodePlan(stream, acc_dtype))
         rng = np.random.default_rng(chunk_seed)
         parts = []
         while ws.remaining:
@@ -58,7 +60,7 @@ class TestWeightStreamBitIdentical:
     def test_tile_iteration(self, acc_dtype, seed, tile):
         stream = compress(_weights(seed, 3000), delta=0.05)
         ref = decompress_accumulate(stream, acc_dtype=acc_dtype)
-        ws = WeightStream(stream, acc_dtype=acc_dtype)
+        ws = WeightStream(DecodePlan(stream, acc_dtype))
         tiles = []
         while ws.remaining:
             tiles.append(ws.read(tile))
@@ -67,7 +69,7 @@ class TestWeightStreamBitIdentical:
 
     def test_reset_restarts_the_pass(self):
         stream = compress(_weights(3, 2000), delta=0.05)
-        ws = WeightStream(stream)
+        ws = WeightStream(DecodePlan(stream))
         first = ws.read(777).copy()
         ws.reset()
         np.testing.assert_array_equal(ws.read(777), first)
@@ -160,14 +162,83 @@ class TestProvidersBitIdentical:
         first = a.read(512)
         np.testing.assert_array_equal(b.read(512), first)
 
+    @pytest.mark.parametrize("name", ALL_CODECS)
+    def test_damaged_payload_is_refused(self, name):
+        # archives record a payload CRC32 per blob; a provider must check
+        # it, not serve weights decoded from a flipped byte
+        blob = get_codec(name, delta_pct=10.0).encode(_weights(4, 4096))
+        blob = blob.with_checksum()
+        payload = bytearray(blob.payload)
+        payload[len(payload) // 2] ^= 0x01
+        damaged = CompressedBlob.rebuild(blob.spec(), bytes(payload))
+        assert provider_for(blob).materialize().size == 4096
+        with pytest.raises(IntegrityError, match="checksum"):
+            provider_for(damaged).materialize()
+
 
 class TestBlobProviderConcurrency:
-    """The materialize-once fallback must hold under concurrent readers.
+    """The build-once steps must hold under concurrent readers.
 
     The async service shares one provider across in-flight requests, so
     two interleaved ``cursor()`` consumers must never double-decode the
-    blob or observe a partially-populated cache.
+    blob, build a decode plan twice, or observe a partially-populated
+    cache.
     """
+
+    def test_concurrent_cursors_plan_exactly_once_per_dtype(self, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        builds: list[np.dtype] = []
+
+        class CountedPlan(DecodePlan):
+            def __init__(self, stream, acc_dtype=np.float32, **kw):
+                builds.append(np.dtype(acc_dtype))
+                # widen the race window: a second reader arriving
+                # mid-build must wait on the lock, not build its own
+                time.sleep(0.02)
+                super().__init__(stream, acc_dtype, **kw)
+
+        monkeypatch.setattr(provider_mod, "DecodePlan", CountedPlan)
+        codec = LineFitCodec(delta_pct=10.0)
+        blob = codec.encode(_weights(22, 20_000))
+        provider = BlobProvider(blob)
+        assert provider.streaming
+
+        dtypes = [np.float32, np.float64] * 4
+        barrier = threading.Barrier(len(dtypes))
+        results: list[np.ndarray] = [None] * len(dtypes)
+        errors: list[BaseException] = []
+
+        def reader(i: int) -> None:
+            try:
+                barrier.wait(timeout=5)
+                cur = provider.cursor(dtype=dtypes[i])
+                chunks = []
+                while cur.remaining:
+                    chunks.append(cur.read(1000 + 37 * i))
+                results[i] = np.concatenate(chunks)
+            except BaseException as exc:  # pragma: no cover - failure detail
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(i,)) for i in range(len(dtypes))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert sorted(d.name for d in builds) == ["float32", "float64"], builds
+        stream = codec.decode_stream(blob)
+        for dtype, out in zip(dtypes, results):
+            np.testing.assert_array_equal(out, decompress_accumulate(stream, dtype))
+            assert out.dtype == dtype
 
     def test_concurrent_cursors_decode_exactly_once(self, monkeypatch):
         import threading
