@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core.compression import compress
-from repro.core.decompressor import decompress_accumulate
 from repro.core.linefit import fit_segments
 from repro.core.segmentation import segment_boundaries
 from repro.nn.layers import Conv2D
@@ -43,15 +42,10 @@ def test_compress_end_to_end(benchmark, stream):
 
 
 def test_decompress_vectorized(benchmark, stream):
+    """Whole-stream decode of 1M weights: the column-step accumulator."""
     cs = compress(stream, 0.2)
     out = benchmark(cs.decompress)
     assert out.size == stream.size
-
-
-def test_decompress_hw_accumulator(benchmark, stream):
-    cs = compress(stream[:100_000], 0.3)
-    out = benchmark(decompress_accumulate, cs)
-    assert out.size == 100_000
 
 
 def test_conv2d_forward(benchmark):

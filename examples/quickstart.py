@@ -9,11 +9,7 @@ storage codec, and the hardware decompression-unit model (Fig. 6).
 
 import numpy as np
 
-from repro.core import (
-    DecompressionUnit,
-    compress_percent,
-    decompress_accumulate,
-)
+from repro.core import DecompressionUnit, compress_percent
 from repro.core import codec
 
 # A high-entropy "trained-weights-like" stream: the hard case that
@@ -39,10 +35,11 @@ restored = codec.decode(blob)
 assert np.array_equal(restored.decompress(), stream.decompress())
 
 # The on-PE decompression unit: Eq. (2), accumulate-only datapath.
+# decompress() runs it bit-exactly, in float32 unless asked otherwise.
 unit = DecompressionUnit()
 cycles = unit.cycles(stream)
 print(f"decompression: {cycles:,} cycles for {stream.num_weights:,} weights "
       f"({cycles / stream.num_weights:.3f} cycles/weight)")
-hw_out = decompress_accumulate(stream, np.float32)  # the float32 datapath
-print(f"hw-exact vs line-evaluated max diff: "
-      f"{np.abs(hw_out - stream.decompress()).max():.2e}")
+wide = stream.decompress(np.float64)  # the same datapath, 64-bit accumulator
+print(f"float32 vs float64 accumulator max diff: "
+      f"{np.abs(stream.decompress() - wide).max():.2e}")

@@ -77,7 +77,9 @@ def run_streamed_decode(workload: str, on: bool, fast: bool) -> dict:
     ``on`` pulls the blob through a :class:`~repro.core.provider.
     BlobProvider` cursor in deliberately uneven chunks (the fused
     forward's access pattern); ``off`` decodes the whole stream at
-    once.  The reassembled bytes must be identical.
+    once.  The reassembled bytes must be identical.  The
+    ``adversarial`` ramp compresses to one long segment, so it checks
+    the kernel's long-segment branch as well as the short-segment one.
     """
     w = wl.stream(workload, fast)
     codec = LineFitCodec(delta_pct=_DELTA_PCT)
@@ -246,7 +248,7 @@ for _feature in (
         description="tile-cursor streamed decode vs full materialization",
         toggle="WeightProvider.cursor() vs Codec.decode()",
         runner=run_streamed_decode,
-        workloads=("lenet-dense", "gaussian"),
+        workloads=STREAMS,
     ),
     Feature(
         name="runtime.result_cache",

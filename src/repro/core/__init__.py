@@ -11,7 +11,9 @@ compression
 decompressor
     Cycle/bit-level model of the on-PE decompression unit (Fig. 6):
     the ``DecodePlan`` built once per stream, its column-step
-    accumulator kernel, and the ``WeightStream`` tile cursor.
+    accumulator kernel — the only line-fit decoder, behind
+    ``CompressedStream.decompress`` and every codec, archive and
+    streamed decode — and the ``WeightStream`` tile cursor.
 provider
     Streamed weight delivery: the ``WeightProvider`` contract that lets
     consumers pull decoded tiles on demand (fused decode+MAC).
@@ -70,7 +72,6 @@ from .decompressor import (
     DecompressionUnit,
     DecompressorTiming,
     WeightStream,
-    decompress_accumulate,
 )
 from .errors import FaultError, IntegrityError
 from .layer_selection import select_layer, select_layer_model, select_multi
@@ -123,7 +124,6 @@ __all__ = [
     "DecompressionUnit",
     "DecompressorTiming",
     "WeightStream",
-    "decompress_accumulate",
     "WeightCursor",
     "WeightProvider",
     "ArrayProvider",

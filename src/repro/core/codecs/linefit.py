@@ -3,9 +3,11 @@
 ``LineFitCodec`` wraps the existing reference implementation —
 weak-monotonic segmentation (:mod:`repro.core.segmentation`), per-segment
 least squares (:mod:`repro.core.linefit`), the storage-format cost model
-(:mod:`repro.core.compression`) and the RWCS wire format
-(:mod:`repro.core.codec`) — without re-implementing any of it, so blobs
-produced here are byte-identical to the pre-registry call sites.
+(:mod:`repro.core.compression`), the RWCS wire format
+(:mod:`repro.core.codec`) and the accumulator decoder
+(:mod:`repro.core.decompressor`) — without re-implementing any of it, so
+blobs produced here are byte-identical to the pre-registry call sites
+and decode to exactly the weights a streamed provider serves.
 """
 
 from __future__ import annotations
@@ -161,12 +163,4 @@ class LineFitCodec(Codec):
         )
 
     def decode(self, blob: CompressedBlob) -> np.ndarray:
-        return self.decode_stream(blob).decompress(dtype=np.float32)
-
-    def reconstruction_mse(self, blob: CompressedBlob, original: np.ndarray) -> float:
-        # Defer to the stream's own float64 MSE so the figure is
-        # bit-identical with the pre-registry Tab. II path.
-        w = np.asarray(original).ravel()
-        if w.size == 0:
-            return 0.0
-        return self.decode_stream(blob).mse(w)
+        return self.decode_stream(blob).decompress()

@@ -2,9 +2,10 @@
 
 The public entry points are :func:`compress` (one stream), and the
 :class:`CompressedStream` container it returns, which knows how to
-decompress itself, measure its footprint and report the metrics used
-throughout the paper's evaluation (compression ratio, memory footprint
-reduction, MSE).
+decompress itself (through the accumulator kernel of
+:mod:`repro.core.decompressor`), measure its footprint and report the
+metrics used throughout the paper's evaluation (compression ratio,
+memory footprint reduction, MSE).
 
 A *stream* here is the natural C-order serialization of one layer's
 weight tensor.  Compressing a whole model layer-by-layer is handled by
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linefit import evaluate_lines, fit_segments
+from .linefit import fit_segments
 from .segmentation import (
     delta_from_percent,
     segment_boundaries,
@@ -182,22 +183,24 @@ class CompressedStream:
     def decompress(self, dtype=np.float32) -> np.ndarray:
         """Reconstruct the approximated stream ``w~``.
 
-        The line coefficients are first rounded to the bytes the format
-        actually stores, which is what the hardware decompression unit
-        would consume.
+        Runs the decompression unit's accumulator (Eq. (2)) in ``dtype``
+        over the coefficients rounded to the bytes the format stores:
+        bit-identical to every streamed read of the same stream
+        (:class:`~repro.core.decompressor.WeightStream`).
         """
-        m, q = self.storage_coefficients()
-        return evaluate_lines(m, q, self.lengths, dtype=dtype)
+        from .decompressor import DecodePlan, WeightStream  # late: avoid cycle
+
+        return WeightStream(DecodePlan(self, dtype)).read(self.num_weights)
 
     def mse(self, original: np.ndarray) -> float:
-        """Mean squared error vs. the original stream (paper Tab. II)."""
+        """Mean squared error of the float32 decode vs. the original
+        stream (paper Tab. II)."""
         w = np.asarray(original, dtype=np.float64).ravel()
         if w.size != self.num_weights:
             raise ValueError(
                 f"original has {w.size} weights, stream encodes {self.num_weights}"
             )
-        approx = self.decompress(dtype=np.float64)
-        diff = approx - w
+        diff = self.decompress() - w
         return float(np.mean(diff * diff)) if w.size else 0.0
 
 

@@ -12,13 +12,17 @@ be quantified (cycles are identical — one weight per cycle — but the
 energy per emitted weight differs; see :mod:`repro.energy.params`).
 
 Numerical faithfulness: the accumulator runs in the dtype the consumer
-asks for — ``float32`` on the fused nn path — whatever the storage
-format (the int8 format's ``float16`` coefficients are widened before
+asks for — ``float32`` by default — whatever the storage format (the
+int8 format's ``float16`` coefficients are widened before
 accumulating), so the emitted stream differs slightly from the
-mathematically evaluated line for long segments.  The software decoder
-reproduces the accumulator bit pattern exactly: every emitted weight is
-the result of the same float additions, in the same order, as the
-scalar Eq. (2) loop.
+mathematically evaluated line ``m * x + q`` for long segments.  The
+software decoder reproduces the accumulator bit pattern exactly: every
+emitted weight is the result of the same float additions, in the same
+order, as the scalar Eq. (2) loop.  This is the repo's only line-fit
+decoder: :meth:`CompressedStream.decompress` (and through it every
+codec, archive, degraded and accuracy decode) is one read of a
+:class:`WeightStream`, so the weights an experiment measures are the
+weights the streamed serve path computes.
 
 The decoder is split in two.  A :class:`DecodePlan` is built once per
 parsed stream and accumulator dtype: it rounds ⟨m, q⟩ to storage
@@ -37,7 +41,7 @@ so that too is the hardware recurrence, and a 65535-weight segment
 costs one ``cumsum``, not 65535 Python steps.
 
 :class:`WeightStream` is the tile-cursor face of the kernel, and
-:func:`decompress_accumulate` is one read of all of it.  The cursor
+:meth:`CompressedStream.decompress` is one read of all of it.  The cursor
 decodes whole plan blocks as reads need them, so a consumer (the fused
 decode+MAC path in :mod:`repro.nn.layers`, via
 :mod:`repro.core.provider`) never holds more than one tile plus one
@@ -59,7 +63,6 @@ __all__ = [
     "DecompressionUnit",
     "DecodePlan",
     "WeightStream",
-    "decompress_accumulate",
 ]
 
 #: default tile size of the fused nn path, in weights — 16 KB of
@@ -188,19 +191,6 @@ class DecodePlan:
                 seg.fill(mi)
                 seg[0] = ai
                 np.cumsum(seg, out=seg)
-
-
-def decompress_accumulate(
-    stream: CompressedStream, acc_dtype=np.float32
-) -> np.ndarray:
-    """Bit-faithful accumulator decompression of a compressed stream.
-
-    Runs the column-step kernel over every block of the stream's plan,
-    reproducing the sequential recurrence of Eq. (2) exactly.  For
-    accuracy studies prefer :meth:`CompressedStream.decompress`, which
-    evaluates the mathematical line in float64.
-    """
-    return WeightStream(DecodePlan(stream, acc_dtype)).read(stream.num_weights)
 
 
 class WeightStream:

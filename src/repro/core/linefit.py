@@ -15,13 +15,17 @@ segment length, and ``Sy``, ``Sxy`` are computed for *all* segments at
 once with ``np.add.reduceat`` over the stream (``Sxy`` uses the identity
 ``sum_j j * w_{f+j} = sum_k k * w_k - f * Sy`` on global indices ``k``).
 No Python-level loop over segments is required.
+
+Decompression — regenerating the stream from the fitted lines — is the
+accumulator of :mod:`repro.core.decompressor`, not an evaluation of
+``m * x + q``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fit_segments", "evaluate_lines"]
+__all__ = ["fit_segments"]
 
 
 def fit_segments(
@@ -68,32 +72,3 @@ def fit_segments(
     m[multi] = (lengths[multi] * sxy[multi] - sx[multi] * sy[multi]) / denom[multi]
     q = (sy - m * sx) / lengths
     return m, q
-
-
-def evaluate_lines(
-    m: np.ndarray,
-    q: np.ndarray,
-    lengths: np.ndarray,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Evaluate ``m_i * x + q_i`` for ``x = 0 .. L_i - 1``, concatenated.
-
-    This is the *mathematical* decompression (used for accuracy studies
-    and MSE metrics); the hardware-faithful accumulator datapath lives in
-    :mod:`repro.core.decompressor`.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if m.shape != q.shape or m.shape != lengths.shape:
-        raise ValueError("m, q and lengths must have identical shapes")
-    n = int(lengths.sum())
-    if n == 0:
-        return np.zeros(0, dtype=dtype)
-    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    # Local abscissa for every output element: global index minus the
-    # start of its segment, built without a Python loop.
-    seg_of = np.repeat(np.arange(lengths.size), lengths)
-    x = np.arange(n, dtype=np.float64) - starts[seg_of]
-    out = m[seg_of] * x + q[seg_of]
-    return out.astype(dtype, copy=False)

@@ -5,7 +5,9 @@ into a whole sub-succession of weights.  When a frame CRC fails, the
 strict decoder (:func:`repro.core.codec.decode`) refuses the payload;
 :func:`decode_degraded` instead reconstructs best-effort:
 
-* undamaged segments regenerate normally;
+* undamaged segments regenerate normally, through the same accumulator
+  as the strict decode (:meth:`CompressedStream.decompress`), so a clean
+  payload degrades to exactly the strict decoder's weights;
 * segments in damaged frames (plus any segment with a non-finite
   coefficient or a zero length) contribute **zeros** over their parsed
   length — a zeroed weight is a benign dropout, a garbage coefficient
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.codec import parse_lenient
-from ..core.linefit import evaluate_lines
+from ..core.compression import CompressedStream
 
 __all__ = ["DamageReport", "decode_degraded"]
 
@@ -77,21 +79,19 @@ def decode_degraded(
     zeroed = int(lengths[bad & (lengths > 0)].sum())
 
     keep = lengths > 0
-    out = (
-        evaluate_lines(m[keep], q[keep], lengths[keep], dtype=np.float64)
-        if keep.any()
-        else np.zeros(0)
-    )
+    out = CompressedStream(
+        m=m[keep], q=q[keep], lengths=lengths[keep], delta=parsed.delta, fmt=parsed.fmt
+    ).decompress(dtype)
     produced = int(out.size)
     # overruns: which parsed segments spill past the declared count
     # (mirrors the strict decoder's expected_weights bounds check, which
     # names the first overrunning segment and raises)
-    ends = np.cumsum(lengths[keep]) if keep.any() else np.zeros(0, dtype=np.int64)
+    ends = np.cumsum(lengths[keep])
     overrun_segments = int(np.count_nonzero(ends > declared))
     if produced > declared:
         out = out[:declared]
     elif produced < declared:
-        out = np.concatenate([out, np.zeros(declared - produced)])
+        out = np.concatenate([out, np.zeros(declared - produced, dtype=out.dtype)])
         zeroed += declared - produced
     report = DamageReport(
         num_segments=parsed.num_segments,
@@ -101,4 +101,4 @@ def decode_degraded(
         overrun_segments=overrun_segments,
         overrun_weights=max(produced - declared, 0),
     )
-    return out.astype(dtype), report
+    return out, report

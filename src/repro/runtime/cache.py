@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache of sweep grid-point results.
 
 Entries live next to the trained-weight cache, under
-``$REPRO_CACHE/results/`` (``~/.cache/repro-weights/results/`` by
+``$REPRO_CACHE/results-v2/`` (``~/.cache/repro-weights/results-v2/`` by
 default), one JSON file per key, sharded by the first two hex digits.
 Keys come from :func:`repro.runtime.keys.result_key` — the SHA-256 of
 everything the result depends on — so invalidation is automatic: change
@@ -38,6 +38,12 @@ __all__ = ["ResultCache", "results_cache_enabled", "MISS"]
 #: sentinel distinguishing "no entry" from a cached ``None``
 MISS = object()
 
+#: default entry directory under the weight cache.  Versioned because
+#: keys do not name the line-fit decoder: entries in the unversioned
+#: ``results/`` were computed with the float64 ``m * x + q`` decode,
+#: since replaced by the float32 accumulator, and must not be served.
+DEFAULT_RESULTS_DIR = "results-v2"
+
 
 def results_cache_enabled() -> bool:
     return os.environ.get("REPRO_RESULT_CACHE", "") not in ("0",)
@@ -49,8 +55,9 @@ class ResultCache:
     Parameters
     ----------
     root:
-        Cache directory; defaults to ``results/`` inside the weight
-        cache dir (``REPRO_CACHE`` or ``~/.cache/repro-weights``).
+        Cache directory; defaults to :data:`DEFAULT_RESULTS_DIR`
+        inside the weight cache dir (``REPRO_CACHE`` or
+        ``~/.cache/repro-weights``).
     enabled:
         Force-enable/disable; defaults to the ``REPRO_RESULT_CACHE``
         environment switch.
@@ -65,7 +72,7 @@ class ResultCache:
             # late import: common owns the REPRO_CACHE resolution
             from ..experiments.common import cache_dir
 
-            root = cache_dir() / "results"
+            root = cache_dir() / DEFAULT_RESULTS_DIR
         self.root = Path(root)
         self.enabled = results_cache_enabled() if enabled is None else enabled
         self.hits = 0

@@ -15,9 +15,12 @@ from repro.core.decompressor import (
     DecompressionUnit,
     DecompressorTiming,
     WeightStream,
-    decompress_accumulate,
 )
-from repro.core.provider import BlobProvider
+from repro.core.model_store import ModelArchive
+from repro.core.provider import BlobProvider, provider_for
+from repro.resilience import decode_degraded
+
+from .test_linefit import evaluate_lines
 
 
 def _sequential_reference(stream, dtype=np.float32):
@@ -38,7 +41,7 @@ class TestAccumulatorSemantics:
     def test_bit_exact_vs_scalar_loop(self, seed):
         w = np.random.default_rng(seed).normal(size=300).astype(np.float32)
         stream = compress_percent(w, 10.0)
-        fast = decompress_accumulate(stream)
+        fast = stream.decompress()
         ref = _sequential_reference(stream)
         assert fast.dtype == np.float32
         np.testing.assert_array_equal(fast, ref)
@@ -46,15 +49,15 @@ class TestAccumulatorSemantics:
     def test_close_to_exact_line_evaluation(self, rng):
         w = rng.normal(size=1000).astype(np.float32)
         stream = compress_percent(w, 15.0)
-        hw = decompress_accumulate(stream)
-        exact = stream.decompress(dtype=np.float64)
+        hw = stream.decompress()
+        exact = evaluate_lines(*stream.storage_coefficients(), stream.lengths)
         # float32 accumulation error is bounded by ~len * eps * |value|
         np.testing.assert_allclose(hw, exact, atol=1e-4, rtol=1e-4)
 
     def test_length_preserved(self, rng):
         w = rng.normal(size=123)
         stream = compress(w, 0.5)
-        assert decompress_accumulate(stream).shape == (123,)
+        assert stream.decompress().shape == (123,)
 
 
 def _ramp(size: int) -> np.ndarray:
@@ -135,7 +138,7 @@ class TestColumnStepKernel:
     @given(chunks=st.lists(st.integers(1, 20_000), min_size=1, max_size=6))
     def test_every_path_equals_scalar_loop(self, workload, fmt, acc_dtype, chunks):
         blob, stream, ref = _kernel_case(workload, fmt, acc_dtype)
-        np.testing.assert_array_equal(decompress_accumulate(stream, acc_dtype), ref)
+        np.testing.assert_array_equal(stream.decompress(acc_dtype), ref)
         for cursor in (
             WeightStream(DecodePlan(stream, acc_dtype)),
             BlobProvider(blob).cursor(dtype=acc_dtype),
@@ -154,8 +157,80 @@ class TestColumnStepKernel:
         stream = LineFitCodec().decode_stream(blob)
         ref = _sequential_reference(stream)
         assert ref.size == size
-        np.testing.assert_array_equal(decompress_accumulate(stream), ref)
+        np.testing.assert_array_equal(stream.decompress(), ref)
         np.testing.assert_array_equal(BlobProvider(blob).materialize(), ref)
+
+
+#: one piece of a generated stream: ``("gaussian", size, seed, scale)``
+#: or ``("ramp", size, start, stop)``; ramps reach past the 65535-weight
+#: length-field limit, so the longest segments are split at it
+_PIECE = st.one_of(
+    st.tuples(
+        st.just("gaussian"),
+        st.integers(1, 4000),
+        st.integers(0, 2**31 - 1),
+        st.floats(1e-3, 10.0),
+    ),
+    st.tuples(
+        st.just("ramp"),
+        st.integers(1, 70_000),
+        st.floats(-4.0, 4.0),
+        st.floats(-4.0, 4.0),
+    ),
+)
+
+
+def _generated_stream(pieces) -> np.ndarray:
+    parts = [
+        np.random.default_rng(a).standard_normal(n) * b
+        if kind == "gaussian"
+        else np.linspace(a, b, n)
+        for kind, n, a, b in pieces
+    ]
+    return np.concatenate(parts).astype(np.float32)
+
+
+class TestEveryDecodeEntryPoint:
+    """Every way to turn a line-fit blob into weights runs the one
+    accumulator kernel: each equals the literal Eq. (2) loop, bit for
+    bit, on arbitrary streams, tolerances, formats and read chunkings."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pieces=st.lists(_PIECE, min_size=1, max_size=3),
+        delta_pct=st.floats(0.0, 100.0),
+        fmt=st.sampled_from(["float32", "int8"]),
+        chunks=st.lists(st.integers(1, 20_000), min_size=1, max_size=6),
+    )
+    def test_equals_scalar_loop(self, pieces, delta_pct, fmt, chunks):
+        weights = _generated_stream(pieces)
+        codec = LineFitCodec(delta_pct=delta_pct, fmt=fmt)
+        blob = codec.encode(weights).with_checksum()
+        ref = _sequential_reference(codec.decode_stream(blob))
+        n = weights.size
+
+        def same(out):
+            assert out.dtype == ref.dtype
+            np.testing.assert_array_equal(np.ravel(out), ref)
+
+        same(codec.decode(blob))
+
+        cursor, parts, i = provider_for(blob).cursor(), [], 0
+        while cursor.remaining:
+            parts.append(cursor.read(chunks[i % len(chunks)]))
+            i += 1
+        same(np.concatenate(parts))
+
+        out, report = decode_degraded(blob.payload, n)
+        assert report.clean
+        same(out)
+
+        payload = {"w": (blob.payload, (n,))}
+        for codecs in ({"w": blob.spec()}, {}):  # v2 spec, v1 legacy wire
+            archive = ModelArchive({"w": delta_pct}, payload, {}, codecs=codecs)
+            out, damage = archive.decode_layer("w")
+            assert damage is None
+            same(out)
 
 
 class TestCycleModel:

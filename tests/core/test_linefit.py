@@ -1,4 +1,9 @@
-"""Per-segment least squares: optimality and vectorization checks."""
+"""Per-segment least squares: optimality and vectorization checks.
+
+Also home to :func:`evaluate_lines`, the mathematical decompression
+``m * x + q`` in float64 — the oracle the decoder's accumulator (Eq. (2),
+:mod:`repro.core.decompressor`) is measured against.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +13,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.linefit import evaluate_lines, fit_segments
+from repro.core.linefit import fit_segments
 from repro.core.segmentation import segment_boundaries
+
+
+def evaluate_lines(
+    m: np.ndarray,
+    q: np.ndarray,
+    lengths: np.ndarray,
+    dtype=np.float64,
+) -> np.ndarray:
+    """Evaluate ``m_i * x + q_i`` for ``x = 0 .. L_i - 1``, concatenated."""
+    m = np.asarray(m, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if m.shape != q.shape or m.shape != lengths.shape:
+        raise ValueError("m, q and lengths must have identical shapes")
+    n = int(lengths.sum())
+    if n == 0:
+        return np.zeros(0, dtype=dtype)
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    seg_of = np.repeat(np.arange(lengths.size), lengths)
+    x = np.arange(n, dtype=np.float64) - starts[seg_of]
+    out = m[seg_of] * x + q[seg_of]
+    return out.astype(dtype, copy=False)
 
 
 def _polyfit_reference(w, boundaries):

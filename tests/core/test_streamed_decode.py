@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import provider as provider_mod
 from repro.core.codecs import CompressedBlob, LineFitCodec, get_codec
 from repro.core.compression import compress
-from repro.core.decompressor import DecodePlan, WeightStream, decompress_accumulate
+from repro.core.decompressor import DecodePlan, WeightStream
 from repro.core.errors import IntegrityError
 from repro.core.provider import ArrayProvider, BlobProvider, provider_for
 
@@ -40,7 +40,7 @@ class TestWeightStreamBitIdentical:
     )
     def test_arbitrary_chunk_pattern(self, acc_dtype, seed, size, chunk_seed):
         stream = compress(_weights(seed, size), delta=0.05)
-        ref = decompress_accumulate(stream, acc_dtype=acc_dtype)
+        ref = stream.decompress(acc_dtype)
 
         ws = WeightStream(DecodePlan(stream, acc_dtype))
         rng = np.random.default_rng(chunk_seed)
@@ -59,7 +59,7 @@ class TestWeightStreamBitIdentical:
     )
     def test_tile_iteration(self, acc_dtype, seed, tile):
         stream = compress(_weights(seed, 3000), delta=0.05)
-        ref = decompress_accumulate(stream, acc_dtype=acc_dtype)
+        ref = stream.decompress(acc_dtype)
         ws = WeightStream(DecodePlan(stream, acc_dtype))
         tiles = []
         while ws.remaining:
@@ -110,12 +110,6 @@ class TestProvidersBitIdentical:
             np.asarray(codec.decode(blob), dtype=np.float32),
         )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason='ROADMAP "One decoder": LineFitCodec.decode evaluates m*x+q '
-        "in float64, the streamed provider runs the float32 accumulator; "
-        "at 200k weights they differ (max |diff| ~2.4e-7)",
-    )
     def test_codec_decode_equals_provider_at_scale(self):
         blob = get_codec("linefit", delta_pct=10.0).encode(_weights(0, 200_000))
         np.testing.assert_array_equal(
@@ -136,7 +130,7 @@ class TestProvidersBitIdentical:
         assert provider.streaming
         np.testing.assert_array_equal(
             provider.materialize(dtype=acc_dtype),
-            decompress_accumulate(codec.decode_stream(blob), acc_dtype=acc_dtype),
+            codec.decode_stream(blob).decompress(acc_dtype),
         )
 
     def test_array_provider_round_trip(self):
@@ -237,7 +231,7 @@ class TestBlobProviderConcurrency:
         assert sorted(d.name for d in builds) == ["float32", "float64"], builds
         stream = codec.decode_stream(blob)
         for dtype, out in zip(dtypes, results):
-            np.testing.assert_array_equal(out, decompress_accumulate(stream, dtype))
+            np.testing.assert_array_equal(out, stream.decompress(dtype))
             assert out.dtype == dtype
 
     def test_concurrent_cursors_decode_exactly_once(self, monkeypatch):

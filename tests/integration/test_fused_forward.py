@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.codecs import LineFitCodec
-from repro.core.decompressor import decompress_accumulate
 from repro.core.provider import ArrayProvider, provider_for
 from repro.nn import zoo
 from repro.nn.arch import LayerKind
@@ -82,7 +81,7 @@ def test_first_layer_streamed_compressed_equals_materialized(module):
     weights = spec.materialize(layer_spec.name).ravel()
     codec = LineFitCodec(delta=0.05)
     blob = codec.encode(weights)
-    decoded = decompress_accumulate(codec.decode_stream(blob))
+    decoded = codec.decode(blob)
 
     layer = _build_layer(layer_spec, decoded)
     x = _small_input(layer, np.random.default_rng(13))

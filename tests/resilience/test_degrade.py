@@ -26,7 +26,8 @@ class TestCleanPayload:
         payload = wire.encode(stream)
         clean = wire.decode(payload).decompress()
         out, report = decode_degraded(payload, clean.size)
-        np.testing.assert_allclose(out, clean.astype(np.float32), rtol=1e-6)
+        np.testing.assert_array_equal(out, clean)
+        assert out.dtype == clean.dtype
         assert report.clean
         assert report.damaged_segments == 0
         assert report.zeroed_weights == 0
@@ -59,8 +60,8 @@ class TestDamagedPayload:
         np.testing.assert_array_equal(out[lo:hi], 0.0)
         assert report.zeroed_weights == hi - lo
         # everything outside the damaged frame regenerates untouched
-        np.testing.assert_allclose(out[:lo], clean[:lo].astype(np.float32), rtol=1e-6)
-        np.testing.assert_allclose(out[hi:], clean[hi:].astype(np.float32), rtol=1e-6)
+        np.testing.assert_array_equal(out[:lo], clean[:lo])
+        np.testing.assert_array_equal(out[hi:], clean[hi:])
 
     def test_accuracy_of_salvage_beats_whole_layer_zero(self, stream):
         payload = wire.encode(stream)

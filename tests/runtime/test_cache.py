@@ -120,7 +120,7 @@ class TestResultCache:
     def test_default_root_lives_under_repro_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
         cache = ResultCache()
-        assert cache.root == tmp_path / "results"
+        assert cache.root == tmp_path / "results-v2"
 
     def test_uncacheable_value_skipped(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=True)

@@ -97,6 +97,23 @@ class TestBitIdentity:
             assert b.dtype == s.dtype and b.shape == s.shape
             assert np.array_equal(b, s), "batched forward must be bit-identical"
 
+    def test_cache_fill_equals_streamed_decode(self):
+        # the weights a hot replica caches are the weights a streamed
+        # forward decodes, bit for bit, on every layer of a LeNet-5
+        from repro.core.codecs import CompressedBlob
+        from repro.core.provider import provider_for
+        from repro.nn import zoo
+
+        model = zoo.lenet5.proxy(np.random.default_rng(0))
+        archive = compress_model(
+            model, {name: 10.0 for name, _ in model.parametric_layers()}
+        )
+        assert len(archive.compressed) == 5
+        for name, (payload, _) in archive.compressed.items():
+            cached, _ = archive.decode_layer(name)
+            blob = CompressedBlob.rebuild(archive.codecs[name], payload)
+            np.testing.assert_array_equal(cached, provider_for(blob).materialize())
+
     def test_identity_survives_eviction(self):
         # a cache too small for the layer: every batch re-decodes, the
         # outputs must not care
