@@ -108,14 +108,14 @@ class LayerSchedule:
     @property
     def total_dram_read_bytes(self) -> int:
         """DRAM-side read volume (shared operands counted once per MC)."""
-        return sum(j.nbytes for j in self.dram_reads(chunk=1 << 62))
+        return sum(j.nbytes for j in self.dram_jobs())
 
     @property
     def total_write_bytes(self) -> int:
         return sum(w[2] for w in self.pe_work.values())
 
-    def dram_reads(self, chunk: int = DRAM_CHUNK_BYTES) -> list[DramRead]:
-        """Physical DRAM read jobs, chunked for pipelined service.
+    def dram_jobs(self) -> list[DramRead]:
+        """Physical DRAM read jobs, one per stream, before chunking.
 
         Shared-class transfers behind the same MC collapse into one job
         with all their PEs as destinations.
@@ -132,13 +132,19 @@ class LayerSchedule:
             if any(x.nbytes != nbytes for x in ts):
                 raise ValueError("shared transfers must have equal volume")
             jobs.append(DramRead(mc, tuple(x.pe for x in ts), nbytes, tclass))
+        return jobs
+
+    def dram_reads(self) -> list[DramRead]:
+        """:meth:`dram_jobs` split into ``DRAM_CHUNK_BYTES`` reads, in job
+        order, for pipelined service (the MC programs of the flit model).
+        """
         out: list[DramRead] = []
-        for j in jobs:
-            remaining = j.nbytes
-            while remaining > 0:
-                n = min(chunk, remaining)
-                out.append(DramRead(j.mc, j.dsts, n, j.traffic_class))
-                remaining -= n
+        for j in self.dram_jobs():
+            full, rest = divmod(j.nbytes, DRAM_CHUNK_BYTES)
+            chunk = DramRead(j.mc, j.dsts, DRAM_CHUNK_BYTES, j.traffic_class)
+            out.extend([chunk] * full)
+            if rest:
+                out.append(DramRead(j.mc, j.dsts, rest, j.traffic_class))
         return out
 
 

@@ -15,6 +15,13 @@ the pipeline structure the flit simulator exhibits:
   phase);
 * write-back serializes on the memory channels again.
 
+Every read job and every ofmap write is counted in closed form: a job
+of ``n`` bytes is ``n // unit`` full requests plus one remainder
+request (``unit`` is ``DRAM_CHUNK_BYTES`` for reads and
+``max_packet_bytes`` for writes).  The channel cycles, injected flits
+and hops this yields are the integers chunk-by-chunk service adds up,
+so evaluating a layer takes host time per job, not per chunk.
+
 Latency components are attributed exactly like the paper's Fig. 2/10
 stacked bars: memory (DRAM channel busy), communication (serialization
 + transit not hidden behind DRAM), computation (PE datapath).
@@ -62,19 +69,21 @@ def _flits(nbytes: int, max_packet_bytes: int) -> int:
 
 
 class TransactionModel:
-    def __init__(
-        self,
-        mesh: Mesh | None = None,
-        dram: DramConfig | None = None,
-        dram_chunk_bytes: int = DRAM_CHUNK_BYTES,
-    ) -> None:
+    def __init__(self, mesh: Mesh | None = None, dram: DramConfig | None = None) -> None:
         self.mesh = mesh or Mesh()
         self.dram = dram if dram is not None else DramConfig()
-        self.chunk = dram_chunk_bytes
+
+    def _channel_cycles(self, full: int, rest: int, unit: int) -> int:
+        """Channel occupancy of ``full`` ``unit``-byte requests plus one of
+        ``rest`` bytes (none if ``rest`` is 0)."""
+        busy = full * self.dram.service_cycles(unit)
+        return busy + self.dram.service_cycles(rest) if rest else busy
 
     # -- latency -----------------------------------------------------------
     def layer_latency(self, schedule: LayerSchedule) -> LatencyComponents:
         pipe = self.mesh.routers[0].pipeline_depth
+        packet = self.dram.max_packet_bytes
+        chunk_flits = _flits(DRAM_CHUNK_BYTES, packet)
 
         # read phase: per-channel busy time (shared operands read once);
         # with on-chip replication the MC's injection link (1 flit/cycle)
@@ -83,12 +92,15 @@ class TransactionModel:
         read_busy: dict[int, int] = {}
         inject_flits: dict[int, int] = {}
         max_hops = 0
-        for job in schedule.dram_reads(self.chunk):
-            read_busy[job.mc] = read_busy.get(job.mc, 0) + self.dram.service_cycles(
-                job.nbytes
+        for job in schedule.dram_jobs():
+            if job.nbytes <= 0:
+                continue
+            full, rest = divmod(job.nbytes, DRAM_CHUNK_BYTES)
+            read_busy[job.mc] = read_busy.get(job.mc, 0) + self._channel_cycles(
+                full, rest, DRAM_CHUNK_BYTES
             )
-            inject_flits[job.mc] = inject_flits.get(job.mc, 0) + len(job.dsts) * _flits(
-                job.nbytes, self.dram.max_packet_bytes
+            inject_flits[job.mc] = inject_flits.get(job.mc, 0) + len(job.dsts) * (
+                full * chunk_flits + _flits(rest, packet)
             )
             for dst in job.dsts:
                 max_hops = max(max_hops, self.mesh.hop_count(job.mc, dst))
@@ -103,11 +115,8 @@ class TransactionModel:
             if o_bytes <= 0:
                 continue
             mc = self.mesh.nearest_corner(pe)
-            remaining = o_bytes
-            while remaining > 0:
-                n = min(self.dram.max_packet_bytes, remaining)
-                write_busy[mc] = write_busy.get(mc, 0) + self.dram.service_cycles(n)
-                remaining -= n
+            full, rest = divmod(o_bytes, packet)
+            write_busy[mc] = write_busy.get(mc, 0) + self._channel_cycles(full, rest, packet)
             max_hops = max(max_hops, self.mesh.hop_count(pe, mc))
         t_write = max(write_busy.values(), default=0)
 
@@ -115,7 +124,7 @@ class TransactionModel:
         # route transit for reads and writes, and the write serialization
         # of the slowest PE's ofmap into the network
         last_chunk_flits = _flits(
-            min(self.chunk, max((t.nbytes for t in schedule.transfers), default=0)),
+            min(DRAM_CHUNK_BYTES, max((t.nbytes for t in schedule.transfers), default=0)),
             self.dram.max_packet_bytes,
         )
         max_ofmap_flits = max(

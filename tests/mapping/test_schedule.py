@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import compress_percent
 from repro.mapping import Accelerator
-from repro.mapping.schedule import CompressionEffect, build_schedule
+from repro.mapping.schedule import DRAM_CHUNK_BYTES, CompressionEffect, build_schedule
 from repro.noc import Mesh, TrafficClass
 from repro.nn.arch import ArchBuilder
 
@@ -43,21 +43,32 @@ class TestBuildSchedule:
 
     def test_dram_reads_preserve_private_bytes(self):
         sched = build_schedule(_fc_layer(4000, 4000), Mesh(4, 4))
-        jobs = sched.dram_reads(chunk=2048)
+        jobs = sched.dram_reads()
         weights = [j for j in jobs if j.traffic_class is TrafficClass.WEIGHTS]
         # weights are private: one copy per PE, volumes preserved
         assert sum(j.nbytes for j in weights) == sum(
             t.nbytes for t in sched.transfers
             if t.traffic_class is TrafficClass.WEIGHTS
         )
-        assert max(j.nbytes for j in jobs) <= 2048
+        assert max(j.nbytes for j in jobs) <= DRAM_CHUNK_BYTES
+        # the MC programs are the unchunked jobs split in order: full
+        # chunks, then the remainder, job after job
+        expanded = []
+        for j in sched.dram_jobs():
+            remaining = j.nbytes
+            while remaining > 0:
+                n = min(DRAM_CHUNK_BYTES, remaining)
+                expanded.append((j.mc, j.dsts, n, j.traffic_class))
+                remaining -= n
+        assert any(n % DRAM_CHUNK_BYTES for _, _, n, _ in expanded)
+        assert [(j.mc, j.dsts, j.nbytes, j.traffic_class) for j in jobs] == expanded
 
     def test_shared_ifmap_read_once_per_mc(self):
         mesh = Mesh(4, 4)
         sched = build_schedule(_fc_layer(4000, 4000), mesh)
         assert sched.shared_class is TrafficClass.IFMAP
         ifmap_jobs = [
-            j for j in sched.dram_reads(chunk=1 << 62)
+            j for j in sched.dram_jobs()
             if j.traffic_class is TrafficClass.IFMAP
         ]
         # one grouped job per memory interface, fanning out to its PEs
