@@ -2,7 +2,7 @@
 
 Every ``test_*`` module here regenerates one table or figure of the
 paper (plus ablation studies), prints it paper-style, and saves it
-under ``benchmarks/out/``.  Timings are collected with
+under ``benchmarks/out/``.  Run times are collected with
 pytest-benchmark; the *content* of the regenerated artifact is the
 point, the timing is a bonus.
 

@@ -28,7 +28,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .. import obs
-from ..runtime import GridTask, ResultCache, Timings, result_key, run_tasks
+from ..obs import MetricsRegistry
+from ..runtime import GridTask, ResultCache, result_key, run_tasks
 from . import workloads as wl
 from .registry import (
     IDENTICAL,
@@ -279,7 +280,7 @@ def run_ablation(
     registry: FeatureRegistry | None = None,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     policy=None,
     shards: int | None = None,
     shard_workers: int = 1,
@@ -342,7 +343,7 @@ def run_ablation(
                 tasks,
                 jobs=jobs,
                 cache=cache,
-                timings=timings,
+                metrics=metrics,
                 policy=policy,
                 shards=shards,
                 shard_workers=shard_workers,

@@ -121,7 +121,7 @@ class CompressedBlob:
             compressed_bytes=int(spec.get("compressed_bytes", 0)),
         )
 
-    # -- integrity (see repro.resilience) -----------------------------------
+    # -- integrity ----------------------------------------------------------
     def with_checksum(self) -> "CompressedBlob":
         """A copy whose ``meta`` records the payload CRC32."""
         meta = dict(self.meta)

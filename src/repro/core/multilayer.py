@@ -31,10 +31,10 @@ import numpy as np
 from ..nn.arch import ArchSpec
 from ..nn.graph import Model
 from ..nn.train import evaluate
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
-    Timings,
     codec_spec,
     fingerprint_arrays,
     result_key,
@@ -137,7 +137,7 @@ def optimize_multilayer(
     codec: str | Codec = "linefit",
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> MultiLayerPlan:
     """Greedy multi-layer delta assignment under an accuracy budget.
 
@@ -189,7 +189,7 @@ def optimize_multilayer(
         for name, delta in grid
     ]
     solo_acc = dict(
-        zip(grid, run_tasks(acc_tasks, jobs=jobs, cache=cache, timings=timings))
+        zip(grid, run_tasks(acc_tasks, jobs=jobs, cache=cache, metrics=metrics))
     )
     drops = {point: baseline - acc for point, acc in solo_acc.items()}
 
@@ -220,7 +220,7 @@ def optimize_multilayer(
         )
         for name, deltas in feasible.items()
     ]
-    layer_savings = run_tasks(saving_tasks, jobs=jobs, cache=cache, timings=timings)
+    layer_savings = run_tasks(saving_tasks, jobs=jobs, cache=cache, metrics=metrics)
     saving_lookup: dict[tuple[str, float], int] = {}
     for (name, deltas), savings in zip(feasible.items(), layer_savings):
         for delta, saving in zip(deltas, savings):

@@ -24,10 +24,10 @@ import numpy as np
 from .. import obs
 from ..nn.graph import Model
 from ..nn.train import evaluate
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
-    Timings,
     codec_spec,
     fingerprint_array,
     fingerprint_arrays,
@@ -225,7 +225,7 @@ class CompressionPipeline:
         delta_grid,
         jobs: int | None = None,
         cache: ResultCache | None = None,
-        timings: Timings | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> list[DeltaRecord]:
         """Run the full delta sweep of Tab. II / Fig. 10.
 
@@ -253,4 +253,4 @@ class CompressionPipeline:
             codec=str(self.codec),
             deltas=len(deltas),
         ):
-            return run_tasks(tasks, jobs=jobs, cache=cache, timings=timings)
+            return run_tasks(tasks, jobs=jobs, cache=cache, metrics=metrics)

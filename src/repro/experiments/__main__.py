@@ -35,7 +35,8 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..runtime import ResultCache, Timings
+from ..obs import MetricsRegistry
+from ..runtime import ResultCache, format_summary
 from . import ALL_EXPERIMENTS
 from .common import is_fast
 
@@ -81,12 +82,11 @@ def main(argv: list[str]) -> int:
         module = ALL_EXPERIMENTS[name]
         accepted = inspect.signature(module.run).parameters
         kwargs = {}
-        timings = None
+        metrics = None
         if "cache" in accepted:
             kwargs["cache"] = ResultCache()
-        if "timings" in accepted:
-            timings = Timings()
-            kwargs["timings"] = timings
+        if "metrics" in accepted:
+            metrics = kwargs["metrics"] = MetricsRegistry()
         scope = obs.Obs() if obs_dir else obs.NULL
         start = time.perf_counter()
         with obs.use(scope):
@@ -95,14 +95,14 @@ def main(argv: list[str]) -> int:
         elapsed = time.perf_counter() - start
         print(module.render(result))
         line = f"[{name}: {elapsed:.1f}s{' fast' if fast else ''}"
-        if timings is not None:
-            line += f"  {timings.summary()}"
+        if metrics is not None:
+            line += f"  {format_summary(metrics)}"
         print(line + "]\n")
         if session is not None:
             scope.count("experiment.runs")
             scope.gauge("experiment.wall_seconds", elapsed)
-            if timings is not None:
-                scope.metrics.merge(timings.registry, prefix="sweep.")
+            if metrics is not None:
+                scope.metrics.merge(metrics, prefix="sweep.")
             obs.write_outputs(scope, Path(obs_dir) / name)
             session.trace.process_name(index + 1, name)
             session.trace.adopt(scope.trace.events, pid=index + 1)

@@ -45,11 +45,11 @@ from ..core.segmentation import delta_from_percent
 from ..nn import zoo
 from ..nn.train import evaluate
 from ..resilience import BitFlipInjector, decode_degraded, digest
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
     RunPolicy,
-    Timings,
     fingerprint_array,
     result_key,
     run_tasks,
@@ -178,7 +178,7 @@ def run(
     fast: bool | None = None,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     policy: RunPolicy | None = None,
 ) -> CampaignResult:
     fast = is_fast() if fast is None else fast
@@ -220,7 +220,7 @@ def run(
     # a campaign that injects faults should survive them too: one retry
     # by default, so a flaky worker doesn't void the whole sweep
     policy = policy if policy is not None else RunPolicy(retries=1)
-    outcomes = run_tasks(tasks, jobs=jobs, cache=cache, timings=timings, policy=policy)
+    outcomes = run_tasks(tasks, jobs=jobs, cache=cache, metrics=metrics, policy=policy)
 
     points = [
         CampaignPoint(

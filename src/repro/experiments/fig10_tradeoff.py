@@ -32,10 +32,10 @@ from ..core.segmentation import delta_from_percent
 from ..mapping import Accelerator
 from ..mapping.accelerator import AcceleratorConfig, ModelResult
 from ..nn import zoo
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
-    Timings,
     fingerprint_array,
     result_key,
     run_tasks,
@@ -127,7 +127,7 @@ def tradeoff_for(
     seed: int = 7,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     streamed: bool = False,
 ) -> ModelTradeoff:
     layer = module.SELECTED_LAYER
@@ -169,7 +169,7 @@ def tradeoff_for(
         GridTask(fn=_sweep_point, args=(pipeline, pct), key=k)
         for pct, k in zip(deltas, acc_keys)
     ]
-    results = run_tasks(tasks, jobs=jobs, cache=cache, timings=timings)
+    results = run_tasks(tasks, jobs=jobs, cache=cache, metrics=metrics)
     base, sims = results[0], results[1 : 1 + len(deltas)]
     records = results[1 + len(deltas) :]
     base_lat = base.total_latency.total
@@ -209,13 +209,13 @@ def run(
     models=None,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     streamed: bool = False,
 ) -> list[ModelTradeoff]:
     modules = models if models is not None else zoo.ALL_MODELS
     return [
         tradeoff_for(
-            m, fast=fast, jobs=jobs, cache=cache, timings=timings, streamed=streamed
+            m, fast=fast, jobs=jobs, cache=cache, metrics=metrics, streamed=streamed
         )
         for m in modules
     ]

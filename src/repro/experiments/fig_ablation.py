@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 
 from ..ablation import AblationConfig, AblationReport, run_ablation
-from ..runtime import ResultCache, Timings
+from ..obs import MetricsRegistry
+from ..runtime import ResultCache
 
 __all__ = ["run", "render", "main"]
 
@@ -35,7 +36,7 @@ def run(
     fast: bool = False,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     shards: int | None = None,
     shard_workers: int = 1,
 ) -> AblationReport:
@@ -47,7 +48,7 @@ def run(
         AblationConfig(fast=fast),
         jobs=jobs,
         cache=cache,
-        timings=timings,
+        metrics=metrics,
         shards=shards,
         shard_workers=shard_workers,
     )

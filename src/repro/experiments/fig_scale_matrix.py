@@ -32,10 +32,10 @@ from ..core.segmentation import delta_from_percent
 from ..mapping import Accelerator
 from ..mapping.accelerator import AcceleratorConfig, ModelResult
 from ..nn import zoo
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
-    Timings,
     fingerprint_array,
     result_key,
     run_tasks,
@@ -109,7 +109,7 @@ def run(
     fast: bool = False,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     shards: int | None = None,
     shard_workers: int = 1,
 ) -> list[MatrixPoint]:
@@ -143,7 +143,7 @@ def run(
         tasks,
         jobs=jobs,
         cache=cache,
-        timings=timings,
+        metrics=metrics,
         shards=shards,
         shard_workers=shard_workers,
     )

@@ -29,10 +29,10 @@ from ..core.compression import StorageFormat, compress
 from ..core.metrics import CompressionReport, layer_report
 from ..core.segmentation import delta_from_percent
 from ..nn import zoo
+from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
     ResultCache,
-    Timings,
     fingerprint_array,
     result_key,
     run_tasks,
@@ -169,7 +169,7 @@ def sweep_model(
     seed: int = 0,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> ModelSweep:
     deltas = [float(pct) for pct in module.DELTA_GRID]
     report_keys: list[str | None] = [None] * len(deltas)
@@ -196,7 +196,7 @@ def sweep_model(
         GridTask(fn=_tab2_codec_cr, args=(module.NAME, seed, fast, name, cap), key=k)
         for (name, cap), k in zip(_CODEC_COLUMN.items(), codec_keys)
     ]
-    results = run_tasks(tasks, jobs=jobs, cache=cache, timings=timings)
+    results = run_tasks(tasks, jobs=jobs, cache=cache, metrics=metrics)
     reports = results[: len(deltas)]
     codec_crs = dict(zip(_CODEC_COLUMN, results[len(deltas) :]))
     return ModelSweep(
@@ -211,10 +211,10 @@ def run(
     fast: bool = False,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> list[ModelSweep]:
     return [
-        sweep_model(m, fast=fast, jobs=jobs, cache=cache, timings=timings)
+        sweep_model(m, fast=fast, jobs=jobs, cache=cache, metrics=metrics)
         for m in zoo.ALL_MODELS
     ]
 

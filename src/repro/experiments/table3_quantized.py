@@ -24,7 +24,8 @@ from ..core.pipeline import CompressionPipeline
 from ..core.quantization import quantize_model, quantize_tensor
 from ..nn import zoo
 from ..nn.train import evaluate
-from ..runtime import GridTask, ResultCache, Timings, result_key, run_tasks
+from ..obs import MetricsRegistry
+from ..runtime import GridTask, ResultCache, result_key, run_tasks
 from .common import trained_proxy
 
 __all__ = ["QuantRow", "ModelQuantSweep", "run", "render", "main", "PAPER"]
@@ -127,7 +128,7 @@ def sweep_model(
     seed: int = 7,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> ModelQuantSweep:
     model, split = trained_proxy(module, seed=seed, fast=fast)
     top_k = module.TOP_K
@@ -162,7 +163,7 @@ def sweep_model(
         GridTask(fn=_tab3_row, args=(pipeline, module.NAME, pct, fast, top_k), key=k)
         for pct, k in zip(deltas, keys)
     ]
-    rows = run_tasks(tasks, jobs=jobs, cache=cache, timings=timings)
+    rows = run_tasks(tasks, jobs=jobs, cache=cache, metrics=metrics)
     # restore the fp32 proxy weights
     for name, w in originals.items():
         model.set_weights(name, w)
@@ -178,10 +179,10 @@ def run(
     fast: bool = False,
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
 ) -> list[ModelQuantSweep]:
     return [
-        sweep_model(m, fast=fast, jobs=jobs, cache=cache, timings=timings)
+        sweep_model(m, fast=fast, jobs=jobs, cache=cache, metrics=metrics)
         for m in _MODULES
     ]
 

@@ -1,6 +1,6 @@
 """Layer library of the NumPy CNN framework."""
 
-from .activations import Identity, ReLU, Softmax, softmax
+from .activations import ReLU, Softmax, softmax
 from .base import Layer, MergeLayer, Parameter
 from .conv import Conv2D, DepthwiseConv2D
 from .dense import Dense
@@ -22,7 +22,6 @@ __all__ = [
     "BatchNorm2D",
     "ReLU",
     "Softmax",
-    "Identity",
     "softmax",
     "Flatten",
     "Add",

@@ -6,7 +6,7 @@ import numpy as np
 
 from .base import Layer
 
-__all__ = ["ReLU", "Softmax", "Identity", "softmax"]
+__all__ = ["ReLU", "Softmax", "softmax"]
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -48,14 +48,3 @@ class Softmax(Layer):
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return softmax(x, axis=-1)
-
-
-class Identity(Layer):
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return x
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad

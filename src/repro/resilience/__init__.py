@@ -10,10 +10,6 @@ measurable and defensible:
   injectors: bit flips in payloads and raw weight streams, flit
   corruption/drop for the NoC, crash/hang/kill injectors for runtime
   pool workers;
-* :mod:`~repro.resilience.integrity` — CRC32 checksums for
-  :class:`~repro.core.codecs.base.CompressedBlob` payloads, layered on
-  the per-frame CRC framing of the version-3 wire format
-  (:mod:`repro.core.codec`);
 * :mod:`~repro.resilience.degrade` — graceful-degradation decode:
   salvage the undamaged frames of a corrupted line-fit payload and
   zero-fill the rest, instead of losing the whole layer;
@@ -45,9 +41,7 @@ from .inject import (
     digest,
     hang_once,
     kill_once,
-    kill_worker,
 )
-from .integrity import payload_crc32, verify_blob, with_checksum
 
 __all__ = [
     "CodecError",
@@ -60,10 +54,6 @@ __all__ = [
     "crash_once",
     "hang_once",
     "kill_once",
-    "kill_worker",
-    "payload_crc32",
-    "verify_blob",
-    "with_checksum",
     "DamageReport",
     "decode_degraded",
     "ChaosEvent",

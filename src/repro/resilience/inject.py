@@ -37,7 +37,6 @@ __all__ = [
     "crash_once",
     "hang_once",
     "kill_once",
-    "kill_worker",
 ]
 
 
@@ -173,11 +172,6 @@ def hang_once(sentinel: str, seconds: float, value):
     os.close(fd)
     time.sleep(float(seconds))
     return value
-
-
-def kill_worker(code: int = 13) -> None:
-    """Die without cleanup — the ``BrokenProcessPool`` injector."""
-    os._exit(int(code))
 
 
 def kill_once(sentinel: str, value):

@@ -6,17 +6,19 @@ are grids of independent points.  This package owns how those grids
 execute:
 
 * :func:`run_tasks` / :class:`GridTask` fan a grid over a process pool
-  (``REPRO_JOBS`` env var or ``jobs=`` kwarg; ``jobs=1`` is the exact
-  serial loop) with order-preserving, deterministic results;
+  (``REPRO_JOBS`` env var or ``jobs=`` kwarg; ``jobs=1`` runs every
+  task in-process) with order-preserving, deterministic results;
 * :class:`ResultCache` is a content-addressed on-disk store (SHA-256 of
   weight-stream bytes + codec spec + delta + storage format +
   evaluation-set fingerprint) living next to the trained-weight cache,
   consulted *before* dispatch so warm sweeps run zero tasks;
-* :class:`Timings` counts tasks run, cache hits, and in-task seconds —
-  the counters experiments print so you can see what was skipped;
-* :class:`RunPolicy` opts a :func:`run_tasks` call into fault handling:
-  per-task timeouts, bounded retry with backoff, ``BrokenProcessPool``
-  recovery via serial re-dispatch, and partial-result salvage;
+* :class:`RunPolicy` is the fault handling every :func:`run_tasks` call
+  runs under (``RunPolicy()`` by default): per-task timeouts, bounded
+  retry with backoff, ``BrokenProcessPool`` recovery via serial
+  re-dispatch, and partial-result salvage;
+* a ``metrics=`` :class:`repro.obs.MetricsRegistry` counts tasks run,
+  cache hits, and in-task seconds, and :func:`format_summary` renders
+  the footer experiments print so you can see what was skipped;
 * :func:`run_sharded` (or ``run_tasks(shards=...)``) drains a keyed
   grid cooperatively across processes via lease-claimed shard ranges
   under the cache dir — resumable after ``kill -9``, convergent to the
@@ -31,7 +33,7 @@ from .keys import (
     fingerprint_bytes,
     result_key,
 )
-from .pool import GridTask, RunPolicy, Timings, default_jobs, run_tasks
+from .pool import GridTask, RunPolicy, default_jobs, format_summary, run_tasks
 
 _SHARD_EXPORTS = {
     "LeaseManager",
@@ -64,8 +66,8 @@ __all__ = [
     "result_key",
     "GridTask",
     "RunPolicy",
-    "Timings",
     "default_jobs",
+    "format_summary",
     "run_tasks",
     "LeaseManager",
     "ShardStore",

@@ -6,44 +6,55 @@ the accelerator model.  :func:`run_tasks` fans such a grid over a
 ``ProcessPoolExecutor`` while keeping three invariants:
 
 * **order** — results come back in task order, whatever finishes first;
-* **identity** — ``jobs=1`` (the default) runs the exact serial loop,
+* **identity** — ``jobs=1`` (the default) runs every task in-process,
   and parallel workers execute the same pure functions on the same
-  pickled inputs, so records are identical byte for byte;
+  pickled inputs through the same wrapper, so records are identical
+  byte for byte;
 * **cache-before-dispatch** — with a :class:`~repro.runtime.cache.
   ResultCache`, hits are resolved *before* any worker is spawned, so a
-  fully warm sweep runs zero tasks (and the timing counters show it).
+  fully warm sweep runs zero tasks (and the counters show it).
 
 Job count resolution: explicit ``jobs=`` kwarg, else the ``REPRO_JOBS``
 environment variable, else 1.  Task functions must be module-level
-(picklable) and deterministic; exceptions propagate to the caller.
+(picklable) and deterministic.
 
-Resilience: pass a :class:`RunPolicy` to opt into fault handling —
-per-task timeouts (a hung worker no longer wedges the sweep), bounded
-retry with exponential backoff, ``BrokenProcessPool`` recovery (a killed
-worker's unfinished tasks re-dispatch serially, completed results are
-salvaged from the abandoned pool), and optional partial-result salvage
+Every run goes through one fault-tolerant executor under a
+:class:`RunPolicy` (``RunPolicy()`` when none is given): per-task
+timeouts (a hung worker no longer wedges the sweep), bounded retry with
+exponential backoff, ``BrokenProcessPool`` recovery (a killed worker's
+unfinished tasks re-dispatch serially, completed results are salvaged
+from the abandoned pool), and optional partial-result salvage
 (``salvage=True`` turns an exhausted task into a ``None`` slot instead
-of an exception).  Without a policy the original strict semantics hold:
-the first task exception propagates unchanged.
+of an exception).  The default policy grants no retries, so the first
+task exception, in task order, propagates unchanged.
 
-Observability: when an ambient :class:`repro.obs.Obs` scope is enabled,
-the strict path dispatches every pending task under a fresh worker-side
-capture (:func:`repro.obs.capture`) and, as results arrive, re-parents
-the recorded spans onto per-task trace tracks and merges the worker
-metric rows in task order — so ``jobs=1`` and ``jobs=N`` produce
-identical merged metrics (modulo wall-clock values).  With the default
-:data:`repro.obs.NULL` scope the dispatch path is byte-for-byte the
-historical one.
+Accounting: ``metrics=`` takes a :class:`repro.obs.MetricsRegistry`
+that the run adds its counters to — ``tasks``, ``tasks_run``,
+``cache_hits``, ``task_seconds`` (successful attempts only),
+``wall_seconds``, and the fault counters ``task_failed_seconds`` /
+``task_retries`` / ``task_timeouts`` / ``pool_restarts`` /
+``tasks_failed``.  :func:`format_summary` renders them as the footer
+the CLIs print.
+
+Observability: when the ambient :class:`repro.obs.Obs` scope is
+enabled, every attempt (serial or pooled) runs under a fresh capture
+(:func:`repro.obs.capture`); each successful attempt's spans are
+re-parented onto its ``task i`` track and its metric rows merged in
+task order, inside one ``pool.run_tasks`` span — so ``jobs=1`` and
+``jobs=N`` produce identical merged metrics (modulo wall-clock values),
+with or without retries.  With the default :data:`repro.obs.NULL`
+scope nothing is captured.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -53,10 +64,13 @@ from .. import obs
 from ..obs import MetricsRegistry
 from .cache import MISS, ResultCache
 
-__all__ = ["GridTask", "RunPolicy", "Timings", "default_jobs", "run_tasks"]
+__all__ = ["GridTask", "RunPolicy", "default_jobs", "format_summary", "run_tasks"]
 
 #: marks a task that exhausted its attempts under ``salvage=True``
 _FAILED = object()
+
+#: the footer's leading counters, always printed (0 when absent)
+_SUMMARY_NAMES = ("tasks", "tasks_run", "cache_hits", "task_seconds", "wall_seconds")
 
 
 def default_jobs() -> int:
@@ -86,7 +100,7 @@ class RunPolicy:
     ----------
     timeout:
         Per-task wall-clock budget in seconds, measured from *pool
-        submission* (``None`` = wait forever, the strict default).
+        submission* (``None`` = wait forever, the default).
         Every task's deadline is ``submission + timeout``, and the
         collection loop waits only for the *remaining* deadline when it
         reaches a task — so a hung task is declared within ~``timeout``
@@ -169,115 +183,56 @@ class RunPolicy:
         return float(base)
 
 
-class Timings:
-    """Per-sweep work accounting, surfaced in experiment output.
+def format_summary(metrics: MetricsRegistry) -> str:
+    """The counter footer ``python -m repro.experiments`` and ``python -m
+    repro.runtime.shard`` print: the five sweep counters, then any fault
+    counters the run recorded, as ``name=value`` (seconds to 10 ms)."""
+    recorded = {row["name"] for row in metrics.snapshot()}
+    names = [*_SUMMARY_NAMES, *sorted(recorded - set(_SUMMARY_NAMES))]
 
-    ``tasks`` counts grid points submitted, ``tasks_run`` the points
-    actually executed (misses), ``task_seconds`` the summed in-worker
-    execution time of *successful* attempts (a failed attempt that is
-    later retried lands in ``task_failed_seconds`` instead),
-    ``wall_seconds`` the end-to-end grid time.  A warm cache shows
-    ``tasks_run == 0`` and ``task_seconds == 0.0`` — the proof that no
-    encode/evaluate work re-ran.
+    def fmt(name: str) -> str:
+        v = metrics.value(name)
+        return f"{v:.2f}s" if name.endswith("_seconds") else f"{v:g}"
 
-    This class is a thin compatibility facade over a
-    :class:`repro.obs.MetricsRegistry`: ``counters`` is a read-only
-    name → value view of the underlying counters, and the registry can
-    be merged into an experiment's metrics dump wholesale.
-    """
-
-    #: wall clocks of merged sub-sweeps overlap, so summing them
-    #: overstates elapsed time — these counters merge as max instead
-    _MAX_MERGED = frozenset({"wall_seconds"})
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    @property
-    def counters(self) -> dict[str, float]:
-        """Flat ``name -> value`` view (the historical dict shape)."""
-        return {
-            row["name"]: row["value"]
-            for row in self.registry.snapshot()
-            if row["kind"] == "counter" and not row["labels"]
-        }
-
-    def add(self, name: str, value: float = 1.0) -> None:
-        self.registry.counter(name).add(value)
-
-    @contextmanager
-    def timer(self, name: str):
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(name, time.perf_counter() - start)
-
-    def merge(self, other: "Timings") -> None:
-        mine = self.counters
-        for name, value in other.counters.items():
-            if name in self._MAX_MERGED:
-                # overlapping intervals: the merged elapsed time is the
-                # envelope, never the sum
-                self.add(name, max(0.0, value - mine.get(name, 0.0)))
-            else:
-                self.add(name, value)
-
-    def summary(self) -> str:
-        counters = self.counters
-
-        def fmt(name: str) -> str:
-            v = counters.get(name, 0.0)
-            return f"{v:.2f}s" if name.endswith("_seconds") else f"{v:g}"
-
-        names = ["tasks", "tasks_run", "cache_hits", "task_seconds", "wall_seconds"]
-        extra = sorted(set(counters) - set(names) - {"cache_misses", "cache_puts"})
-        return "  ".join(f"{n}={fmt(n)}" for n in names + extra)
+    return "  ".join(f"{n}={fmt(n)}" for n in names)
 
 
-def _timed_call(fn: Callable[..., Any], args: tuple) -> tuple[Any, float]:
-    """Worker-side wrapper: run one grid point, report its CPU-side time."""
-    start = time.perf_counter()
-    result = fn(*args)
-    return result, time.perf_counter() - start
+def _attempt(
+    fn: Callable[..., Any], args: tuple, capture: bool
+) -> tuple[bool, Any, float, dict | None]:
+    """Run one attempt of one grid point, serial or in a pool worker.
 
-
-def _captured_call(fn: Callable[..., Any], args: tuple) -> tuple[Any, float, dict]:
-    """:func:`_timed_call` plus observability capture.
-
-    The task runs under a fresh recording scope whose spans and metric
-    rows ship home with the result for the parent to adopt.  The serial
-    path uses the same wrapper, so serial and parallel sweeps merge to
-    identical output.
-    """
-    start = time.perf_counter()
-    with obs.capture() as captured:
-        result = fn(*args)
-    return result, time.perf_counter() - start, captured.export()
-
-
-def _attempt_call(fn: Callable[..., Any], args: tuple) -> tuple[bool, Any, float]:
-    """Policy-path worker wrapper: failures return instead of raising.
-
-    Returning ``(False, exc, seconds)`` lets the parent account the
-    failed attempt's duration under ``task_failed_seconds`` before
+    Returns ``(ok, payload, seconds, export)``.  A failure returns its
+    exception as ``payload`` instead of raising, so the parent can
+    account the attempt's duration under ``task_failed_seconds`` before
     handing the exception to the retry budget — a raise through the
-    future would discard the timing.
+    future would discard the timing.  With ``capture`` the task runs
+    under a fresh recording scope whose spans and metric rows come back
+    as ``export`` for the parent to adopt.
     """
     start = time.perf_counter()
     try:
-        result = fn(*args)
+        if capture:
+            with obs.capture() as captured:
+                result = fn(*args)
+            export = captured.export()
+        else:
+            result, export = fn(*args), None
     except Exception as exc:  # noqa: BLE001 - shipped to the retry budget
-        return False, exc, time.perf_counter() - start
-    return True, result, time.perf_counter() - start
+        if multiprocessing.parent_process() is not None:
+            # the traceback does not survive the pickle home: keep its text
+            exc.add_note(traceback.format_exc())
+        return False, exc, time.perf_counter() - start, None
+    return True, result, time.perf_counter() - start, export
 
 
 def _serial_attempts(
     task: GridTask,
     policy: RunPolicy,
-    timings: Timings,
+    metrics: MetricsRegistry,
+    capture: bool,
     prior_exc: BaseException | None = None,
-) -> tuple[Any, float]:
+) -> tuple[Any, float, dict | None]:
     """Run one task in-process under the retry budget.
 
     ``prior_exc`` carries a failure from an earlier pool attempt: it
@@ -289,51 +244,56 @@ def _serial_attempts(
     rng = policy.rng() if policy.jitter else None
     for k in range(attempts):
         if exc is not None:
-            timings.add("task_retries")
+            metrics.counter("task_retries").add()
             delay = policy.backoff_for(k, rng)
             if delay:
                 time.sleep(delay)
-        attempt_start = time.perf_counter()
-        try:
-            return _timed_call(task.fn, task.args)
-        except Exception as e:  # noqa: BLE001 - retry boundary
-            # a failed attempt's time must not vanish (nor pollute
-            # task_seconds, which counts only successful work)
-            timings.add("task_failed_seconds", time.perf_counter() - attempt_start)
-            exc = e
+        ok, payload, seconds, export = _attempt(task.fn, task.args, capture)
+        if ok:
+            return payload, seconds, export
+        # a failed attempt's time must not vanish (nor pollute
+        # task_seconds, which counts only successful work)
+        metrics.counter("task_failed_seconds").add(seconds)
+        exc = payload
     if policy.salvage:
-        timings.add("tasks_failed")
-        return _FAILED, 0.0
+        metrics.counter("tasks_failed").add()
+        return _FAILED, 0.0, None
     raise exc
 
 
-def _run_with_policy(
+def _run_pending(
     tasks: list[GridTask],
     pending: list[int],
     jobs: int,
     policy: RunPolicy,
-    timings: Timings,
-) -> dict[int, tuple[Any, float]]:
-    """Fault-tolerant execution of the pending grid points.
+    metrics: MetricsRegistry,
+    capture: bool,
+) -> dict[int, tuple[Any, float, dict | None]]:
+    """Execute the pending grid points: ``{index: (result, seconds, export)}``.
 
     One pool attempt per task; the first timeout or broken-pool event
     abandons the pool (salvaging finished futures) and everything still
-    unfinished re-dispatches serially under the retry budget.
+    unfinished re-dispatches serially under the retry budget.  A serial
+    run (``jobs == 1`` or a single pending task) is that re-dispatch
+    alone.
     """
-    outcomes: dict[int, tuple[Any, float]] = {}
+    outcomes: dict[int, tuple[Any, float, dict | None]] = {}
     failures: dict[int, BaseException] = {}
 
-    def _settle(i: int, outcome: tuple[bool, Any, float]) -> None:
-        ok, payload, seconds = outcome
+    def _settle(i: int, outcome: tuple[bool, Any, float, dict | None]) -> None:
+        ok, payload, seconds, export = outcome
         if ok:
-            outcomes[i] = (payload, seconds)
+            outcomes[i] = (payload, seconds, export)
         else:
-            timings.add("task_failed_seconds", seconds)
+            metrics.counter("task_failed_seconds").add(seconds)
             failures[i] = payload
 
     if jobs > 1 and len(pending) > 1:
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-        futures = {i: pool.submit(_attempt_call, tasks[i].fn, tasks[i].args) for i in pending}
+        futures = {
+            i: pool.submit(_attempt, tasks[i].fn, tasks[i].args, capture)
+            for i in pending
+        }
         # every task's deadline runs from submission, not from when the
         # sequential collection loop happens to reach its future — a
         # task late in the list must not get ``timeout`` *plus* the sum
@@ -351,11 +311,11 @@ def _run_with_policy(
             try:
                 _settle(i, futures[i].result(timeout=remaining))
             except (FuturesTimeout, TimeoutError):
-                timings.add("task_timeouts")
+                metrics.counter("task_timeouts").add()
                 healthy = False
                 break
             except BrokenProcessPool:
-                timings.add("pool_restarts")
+                metrics.counter("pool_restarts").add()
                 healthy = False
                 break
             except Exception as exc:  # noqa: BLE001 - handed to the retry budget
@@ -382,7 +342,9 @@ def _run_with_policy(
     # cancelled, lost to the broken pool, or failed and owed retries
     for i in pending:
         if i not in outcomes:
-            outcomes[i] = _serial_attempts(tasks[i], policy, timings, failures.get(i))
+            outcomes[i] = _serial_attempts(
+                tasks[i], policy, metrics, capture, failures.get(i)
+            )
     return outcomes
 
 
@@ -390,7 +352,7 @@ def run_tasks(
     tasks: list[GridTask],
     jobs: int | None = None,
     cache: ResultCache | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     policy: RunPolicy | None = None,
     *,
     shards: int | None = None,
@@ -398,9 +360,12 @@ def run_tasks(
 ) -> list[Any]:
     """Run a grid, in order, with optional parallelism and caching.
 
-    ``policy`` opts into fault handling (timeouts, retries, salvage);
-    see :class:`RunPolicy`.  Without one, the first exception propagates
-    and no recovery is attempted — the strict historical contract.
+    ``policy`` sets the fault handling (timeouts, retries, salvage; see
+    :class:`RunPolicy`).  ``None`` means ``RunPolicy()``: no task is
+    retried and the first task exception, in task order, propagates,
+    while a killed worker's unfinished tasks still re-dispatch
+    serially.  ``metrics`` receives the run's counters (see the module
+    docstring).
 
     ``shards`` switches to the resumable sharded runtime
     (:func:`repro.runtime.shard.run_sharded`): the grid is split into
@@ -418,10 +383,11 @@ def run_tasks(
             cache=cache,
             jobs=1 if jobs is None else max(1, int(jobs)),
             policy=policy,
-            timings=timings,
+            metrics=metrics,
             workers=max(1, int(shard_workers)),
         )
-    timings = timings if timings is not None else Timings()
+    metrics = metrics if metrics is not None else MetricsRegistry()
+    policy = policy if policy is not None else RunPolicy()
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
     start = time.perf_counter()
 
@@ -435,63 +401,31 @@ def run_tasks(
             pending.append(i)
         else:
             results[i] = hit
-            timings.add("cache_hits")
+            metrics.counter("cache_hits").add()
 
     if pending:
         o = obs.current()
-        if policy is not None:
-            outcomes = _run_with_policy(tasks, pending, jobs, policy, timings)
-            ordered = [outcomes[i] for i in pending]
-        elif o.enabled:
-            # capture-mode dispatch: every task (serial or pooled) runs
-            # under its own recording scope; worker spans are re-parented
-            # onto per-task tracks and metric rows merged in task order,
-            # so jobs=1 and jobs=N dumps are identical
-            with o.span(
-                "pool.run_tasks",
-                cat="pool",
-                tasks=len(tasks),
-                pending=len(pending),
-                jobs=jobs,
-            ):
-                if jobs == 1 or len(pending) == 1:
-                    captured = [
-                        _captured_call(tasks[i].fn, tasks[i].args) for i in pending
-                    ]
-                else:
-                    with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                        captured = list(
-                            pool.map(
-                                _captured_call,
-                                [tasks[i].fn for i in pending],
-                                [tasks[i].args for i in pending],
-                            )
-                        )
-                ordered = []
-                for i, (result, seconds, exported) in zip(pending, captured):
-                    o.adopt(exported, tid=i + 1, track_name=f"task {i}")
-                    o.observe("pool.task_run_seconds", seconds)
-                    ordered.append((result, seconds))
-        elif jobs == 1 or len(pending) == 1:
-            ordered = [_timed_call(tasks[i].fn, tasks[i].args) for i in pending]
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                ordered = list(
-                    pool.map(
-                        _timed_call,
-                        [tasks[i].fn for i in pending],
-                        [tasks[i].args for i in pending],
-                    )
-                )
-        for i, (result, seconds) in zip(pending, ordered):
-            if result is _FAILED:
-                continue  # salvage mode: leave the slot as None, never cache
-            results[i] = result
-            timings.add("tasks_run")
-            timings.add("task_seconds", seconds)
-            if cache is not None and tasks[i].key is not None:
-                cache.put(tasks[i].key, result)
+        with o.span(
+            "pool.run_tasks",
+            cat="pool",
+            tasks=len(tasks),
+            pending=len(pending),
+            jobs=jobs,
+        ):
+            outcomes = _run_pending(tasks, pending, jobs, policy, metrics, o.enabled)
+            for i in pending:
+                result, seconds, export = outcomes[i]
+                if result is _FAILED:
+                    continue  # salvage mode: leave the slot as None, never cache
+                if export is not None:
+                    o.adopt(export, tid=i + 1, track_name=f"task {i}")
+                o.observe("pool.task_run_seconds", seconds)
+                results[i] = result
+                metrics.counter("tasks_run").add()
+                metrics.counter("task_seconds").add(seconds)
+                if cache is not None and tasks[i].key is not None:
+                    cache.put(tasks[i].key, result)
 
-    timings.add("tasks", len(tasks))
-    timings.add("wall_seconds", time.perf_counter() - start)
+    metrics.counter("tasks").add(len(tasks))
+    metrics.counter("wall_seconds").add(time.perf_counter() - start)
     return results

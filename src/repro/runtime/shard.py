@@ -20,16 +20,17 @@ is eventually taken over.  This module supplies that coordination:
   one ``os.rename`` of a given source can succeed, the takeover is
   exactly-once even with many greedy survivors;
 * **resumability** — a finished shard persists an atomic
-  ``shard-%04d.done.json`` marker carrying its task keys, its
-  :mod:`repro.obs` export, and its timing counters.  Kill any worker at
+  ``shard-%04d.done.json`` marker carrying its task keys, the id of
+  the :func:`run_sharded` call that ran it, its :mod:`repro.obs`
+  export, and its run counters.  Kill any worker at
   any point and relaunch: done shards are skipped, the victim's lease
   expires and its shard re-runs.  Tasks are deterministic and results
   content-addressed, so duplicated execution converges — the re-run
   ``put`` writes byte-identical entries and last-writer-wins;
 * **convergent assembly** — once every shard is done, the driver adopts
-  the per-shard obs exports (in shard order, so merges are
-  deterministic), folds the shard timing counters through the
-  wall-clock-envelope merge rule, and materializes the result list with
+  the obs exports and folds the counters of the markers *this call*
+  wrote (in shard order, so merges are deterministic; a resumed run
+  reports only the work it did), and materializes the result list with
   a warm serial :func:`~repro.runtime.pool.run_tasks` pass — which is
   also the quarantine-aware reconciliation: an entry that rotted on
   disk is quarantined by the cache and simply re-executed in-process.
@@ -62,8 +63,9 @@ import uuid
 from pathlib import Path
 
 from .. import obs
+from ..obs import MetricsRegistry
 from .cache import ResultCache
-from .pool import GridTask, RunPolicy, Timings, run_tasks
+from .pool import GridTask, RunPolicy, format_summary, run_tasks
 
 __all__ = [
     "grid_id",
@@ -318,18 +320,22 @@ def _run_shard(
     jobs: int,
     policy: RunPolicy | None,
     worker: str,
+    call: str | None,
 ) -> None:
     """Execute one claimed range and persist its completion marker.
 
     The shard runs under its own :func:`repro.obs.capture` scope so its
     spans and metric rows ship home inside the done marker — the
     assembly step adopts them in shard order, giving serial and sharded
-    runs identical merged metrics (modulo wall-clock values)."""
-    local = Timings()
+    runs identical merged metrics (modulo wall-clock values).  The
+    marker's ``timings`` field holds the shard's run counters as a flat
+    ``{name: value}`` dict, and ``call`` the id of the
+    :func:`run_sharded` call whose assembly folds them."""
+    local = MetricsRegistry()
     with obs.capture() as cap:
         with cap.span("shard.run", cat="shard", shard=shard, start=start, stop=stop):
             run_tasks(
-                tasks[start:stop], jobs=jobs, cache=cache, timings=local, policy=policy
+                tasks[start:stop], jobs=jobs, cache=cache, metrics=local, policy=policy
             )
     store.write_done(
         shard,
@@ -338,8 +344,9 @@ def _run_shard(
             "range": [start, stop],
             "keys": [t.key for t in tasks[start:stop]],
             "worker": worker,
+            "call": call,
             "obs": cap.export(),
-            "timings": local.counters,
+            "timings": {row["name"]: row["value"] for row in local.snapshot()},
         },
     )
 
@@ -356,13 +363,16 @@ def work_loop(
     lease_ttl: float = 30.0,
     heartbeat: float | None = None,
     poll: float = 0.2,
+    call: str | None = None,
 ) -> None:
     """Drain shards until every one has a done marker.
 
     The loop claims greedily; when nothing is claimable it checks the
     remaining leases for staleness (reclaiming any expired one so the
     *next* pass can claim it) and sleeps ``poll`` seconds.  Exit means
-    the whole grid is complete — possibly thanks to other workers."""
+    the whole grid is complete — possibly thanks to other workers.
+    ``call`` stamps the markers this loop writes with the id of the
+    :func:`run_sharded` call it works for (``None`` outside one)."""
     worker = worker if worker is not None else f"pid-{os.getpid()}"
     leases = LeaseManager(store, worker, ttl=lease_ttl, heartbeat=heartbeat)
     try:
@@ -378,7 +388,7 @@ def work_loop(
                         progress = True
                         _run_shard(
                             shard, start, stop, tasks, store, cache, jobs,
-                            policy, worker,
+                            policy, worker, call,
                         )
                 finally:
                     leases.release(shard)
@@ -404,6 +414,7 @@ def _worker_main(
     lease_ttl: float,
     heartbeat: float | None,
     poll: float,
+    call: str,
 ) -> None:
     """Child-process entry: rebuild the store/cache handles and drain."""
     work_loop(
@@ -417,6 +428,7 @@ def _worker_main(
         lease_ttl=lease_ttl,
         heartbeat=heartbeat,
         poll=poll,
+        call=call,
     )
 
 
@@ -432,12 +444,18 @@ def assemble(
     cache: ResultCache,
     num_shards: int,
     *,
-    timings: Timings,
+    call: str,
+    metrics: MetricsRegistry,
     policy: RunPolicy | None = None,
 ) -> list:
-    """Fold the done markers into the ambient obs/timings and
-    materialize the ordered result list from the shared cache.
+    """Fold this call's done markers into the ambient obs and
+    ``metrics``, and materialize the ordered result list from the
+    shared cache.
 
+    Only markers stamped with ``call`` fold: those written by this
+    :func:`run_sharded` call or the helpers it forked.  A marker left
+    by an earlier run (or by a concurrent independent worker) describes
+    work this call did not do, so a resumed run reports none of it.
     Obs exports merge in ascending shard order — a deterministic order
     independent of which worker finished when — so any completion
     interleaving produces the same merged registry (counters and
@@ -452,18 +470,15 @@ def assemble(
     o = obs.current()
     for shard in range(num_shards):
         marker = store.read_done(shard)
-        if marker is None:
-            continue  # unreadable marker: its tasks re-run below anyway
+        if marker is None or marker.get("call") != call:
+            continue  # unreadable, or another run's work
         o.adopt(marker["obs"], tid=shard + 1, track_name=f"shard {shard}")
-        shard_timings = Timings()
         for name, value in marker["timings"].items():
-            # "tasks" counts submissions; the assembly pass below counts
-            # every task exactly once, and shard re-runs after a crash
-            # would inflate a summed version — so it is not merged
-            if name != "tasks":
-                shard_timings.add(name, value)
-        timings.merge(shard_timings)
-    return run_tasks(tasks, jobs=1, cache=cache, timings=timings, policy=policy)
+            # the assembly pass below counts every task exactly once,
+            # and run_sharded times the whole call
+            if name not in ("tasks", "wall_seconds"):
+                metrics.counter(name).add(value)
+    return run_tasks(tasks, jobs=1, cache=cache, metrics=metrics, policy=policy)
 
 
 def run_sharded(
@@ -473,7 +488,7 @@ def run_sharded(
     cache: ResultCache,
     jobs: int = 1,
     policy: RunPolicy | None = None,
-    timings: Timings | None = None,
+    metrics: MetricsRegistry | None = None,
     workers: int = 1,
     worker: str | None = None,
     lease_ttl: float = 30.0,
@@ -492,6 +507,9 @@ def run_sharded(
 
     ``jobs`` is the *within-shard* parallelism each worker applies
     (usually 1: sharding already provides the process-level fan-out).
+    ``metrics`` receives the counters of the shards this call ran and
+    of the assembly pass (see :func:`assemble`); its ``wall_seconds``
+    is the call's elapsed time.
     """
     if cache is None:
         raise ValueError("sharded execution requires a ResultCache")
@@ -500,15 +518,17 @@ def run_sharded(
             "sharded execution requires an enabled result cache; "
             "results travel between workers through it"
         )
-    timings = timings if timings is not None else Timings()
+    start = time.perf_counter()
+    metrics = metrics if metrics is not None else MetricsRegistry()
     if not tasks:
-        return run_tasks([], jobs=1, cache=cache, timings=timings, policy=policy)
+        return run_tasks([], jobs=1, cache=cache, metrics=metrics, policy=policy)
     gid = grid_id(tasks)
     store = ShardStore.for_grid(cache, gid)
     if num_shards is None:
         num_shards = min(len(tasks), max(4 * workers, 8))
     ranges = shard_ranges(len(tasks), num_shards)
     worker = worker if worker is not None else f"pid-{os.getpid()}"
+    call = uuid.uuid4().hex
 
     procs = []
     if workers > 1:
@@ -518,7 +538,7 @@ def run_sharded(
                 target=_worker_main,
                 args=(
                     tasks, ranges, str(store.root), str(cache.root), jobs,
-                    policy, f"{worker}-w{w}", lease_ttl, heartbeat, poll,
+                    policy, f"{worker}-w{w}", lease_ttl, heartbeat, poll, call,
                 ),
             )
             p.start()
@@ -527,13 +547,15 @@ def run_sharded(
         work_loop(
             tasks, ranges, store, cache,
             jobs=jobs, policy=policy, worker=worker,
-            lease_ttl=lease_ttl, heartbeat=heartbeat, poll=poll,
+            lease_ttl=lease_ttl, heartbeat=heartbeat, poll=poll, call=call,
         )
     finally:
         for p in procs:
             p.join()
+    # time to here; the assembly pass adds its own wall time on top
+    metrics.counter("wall_seconds").add(time.perf_counter() - start)
     return assemble(
-        tasks, store, cache, len(ranges), timings=timings, policy=policy
+        tasks, store, cache, len(ranges), call=call, metrics=metrics, policy=policy
     )
 
 
@@ -595,13 +617,13 @@ def main(argv: list[str] | None = None) -> int:
 
     tasks = _resolve_grid(args.grid, args.size)
     cache = ResultCache(root=args.cache, enabled=True)
-    timings = Timings()
+    metrics = MetricsRegistry()
     run_sharded(
         tasks,
         args.shards,
         cache=cache,
         jobs=args.jobs,
-        timings=timings,
+        metrics=metrics,
         workers=args.workers,
         worker=args.worker_id,
         lease_ttl=args.lease_ttl,
@@ -612,7 +634,7 @@ def main(argv: list[str] | None = None) -> int:
             f"grid={grid_id(tasks)} tasks={len(tasks)} "
             f"digest={results_digest(tasks, cache)}"
         )
-        print(timings.summary())
+        print(format_summary(metrics))
     except BrokenPipeError:  # downstream (e.g. `| head`) closed stdout
         pass
     return 0

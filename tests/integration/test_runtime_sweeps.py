@@ -14,7 +14,8 @@ from repro.core.pipeline import CompressionPipeline
 from repro.experiments import table2_compression
 from repro.experiments.common import trained_proxy
 from repro.nn import zoo
-from repro.runtime import ResultCache, Timings
+from repro.obs import MetricsRegistry
+from repro.runtime import ResultCache
 
 DELTAS = (5.0, 15.0)
 
@@ -44,16 +45,16 @@ class TestPipelineSweep:
 
         serial = pipeline.sweep(DELTAS, jobs=1)
         parallel = pipeline.sweep(DELTAS, jobs=4)
-        cold, warm = Timings(), Timings()
-        cached = pipeline.sweep(DELTAS, jobs=4, cache=cache, timings=cold)
-        warmed = pipeline.sweep(DELTAS, jobs=1, cache=cache, timings=warm)
+        cold, warm = MetricsRegistry(), MetricsRegistry()
+        cached = pipeline.sweep(DELTAS, jobs=4, cache=cache, metrics=cold)
+        warmed = pipeline.sweep(DELTAS, jobs=1, cache=cache, metrics=warm)
 
         assert serial == parallel == cached == warmed
-        assert cold.counters["tasks_run"] == len(DELTAS)
+        assert cold.value("tasks_run") == len(DELTAS)
         # the warm rerun did no encode/evaluate work at all
-        assert warm.counters.get("tasks_run", 0) == 0
-        assert warm.counters["cache_hits"] == len(DELTAS)
-        assert warm.counters.get("task_seconds", 0.0) == 0.0
+        assert warm.value("tasks_run") == 0
+        assert warm.value("cache_hits") == len(DELTAS)
+        assert warm.value("task_seconds") == 0.0
 
     def test_cache_distinguishes_codec_and_delta(self, lenet_proxy, tmp_path):
         model, split = lenet_proxy
@@ -63,11 +64,11 @@ class TestPipelineSweep:
             model, split.x_test, split.y_test, codec="huffman"
         )
         linefit.sweep((5.0,), cache=cache)
-        t = Timings()
-        huffman.sweep((5.0,), cache=cache, timings=t)  # same delta, other codec
-        linefit.sweep((10.0,), cache=cache, timings=t)  # other delta
-        assert t.counters["tasks_run"] == 2
-        assert t.counters.get("cache_hits", 0) == 0
+        t = MetricsRegistry()
+        huffman.sweep((5.0,), cache=cache, metrics=t)  # same delta, other codec
+        linefit.sweep((10.0,), cache=cache, metrics=t)  # other delta
+        assert t.value("tasks_run") == 2
+        assert t.value("cache_hits") == 0
 
     def test_cache_distinguishes_weights(self, lenet_proxy, tmp_path):
         model, split = lenet_proxy
@@ -78,13 +79,13 @@ class TestPipelineSweep:
         original = model.get_weights("dense_1").copy()
         try:
             model.set_weights("dense_1", original * 1.01)
-            t = Timings()
+            t = MetricsRegistry()
             CompressionPipeline(model, split.x_test, split.y_test).sweep(
-                (5.0,), cache=cache, timings=t
+                (5.0,), cache=cache, metrics=t
             )
         finally:
             model.set_weights("dense_1", original)
-        assert t.counters["tasks_run"] == 1
+        assert t.value("tasks_run") == 1
 
 
 class TestTable2Sweep:
@@ -92,17 +93,17 @@ class TestTable2Sweep:
         cache = ResultCache(tmp_path, enabled=True)
         serial = table2_compression.sweep_model(zoo.lenet5, fast=True)
         parallel = table2_compression.sweep_model(zoo.lenet5, fast=True, jobs=4)
-        cold, warm = Timings(), Timings()
+        cold, warm = MetricsRegistry(), MetricsRegistry()
         cached = table2_compression.sweep_model(
-            zoo.lenet5, fast=True, jobs=4, cache=cache, timings=cold
+            zoo.lenet5, fast=True, jobs=4, cache=cache, metrics=cold
         )
         warmed = table2_compression.sweep_model(
-            zoo.lenet5, fast=True, cache=cache, timings=warm
+            zoo.lenet5, fast=True, cache=cache, metrics=warm
         )
         assert serial == parallel == cached == warmed
-        assert cold.counters["tasks_run"] == cold.counters["tasks"]
-        assert warm.counters.get("tasks_run", 0) == 0
-        assert warm.counters["cache_hits"] == warm.counters["tasks"]
+        assert cold.value("tasks_run") == cold.value("tasks")
+        assert warm.value("tasks_run") == 0
+        assert warm.value("cache_hits") == warm.value("tasks")
 
 
 class TestMultilayerSweep:
@@ -120,7 +121,7 @@ class TestMultilayerSweep:
         parallel = optimize_multilayer(model, jobs=4, **kwargs)
         cache = ResultCache(tmp_path, enabled=True)
         cold = optimize_multilayer(model, cache=cache, **kwargs)
-        t = Timings()
-        warm = optimize_multilayer(model, cache=cache, timings=t, **kwargs)
+        t = MetricsRegistry()
+        warm = optimize_multilayer(model, cache=cache, metrics=t, **kwargs)
         assert serial == parallel == cold == warm
-        assert t.counters.get("tasks_run", 0) == 0
+        assert t.value("tasks_run") == 0

@@ -13,7 +13,7 @@ import json
 import repro.obs as obs
 from repro.noc import Mesh, NocSimulator, Node, Packet, TrafficClass
 from repro.obs import Obs, is_time_metric, write_outputs
-from repro.runtime import GridTask, ResultCache, run_tasks
+from repro.runtime import GridTask, ResultCache, RunPolicy, run_tasks
 
 from .test_trace import assert_spans_balanced
 
@@ -34,10 +34,12 @@ def _grid(n: int = 6) -> list[GridTask]:
     ]
 
 
-def _run(jobs: int, cache: ResultCache) -> tuple[list, Obs]:
+def _run(
+    jobs: int, cache: ResultCache, policy: RunPolicy | None = None
+) -> tuple[list, Obs]:
     scope = Obs(pid=0)
     with obs.use(scope):
-        results = run_tasks(_grid(), jobs=jobs, cache=cache)
+        results = run_tasks(_grid(), jobs=jobs, cache=cache, policy=policy)
     return results, scope
 
 
@@ -52,9 +54,17 @@ def _trace_shape(scope: Obs) -> list[tuple]:
 
 
 class TestSerialParallelIdentity:
+    """Each test runs under ``policy``; the subclass below repeats them
+    all under a retrying policy."""
+
+    policy: RunPolicy | None = None
+
+    def _run(self, jobs: int, cache: ResultCache) -> tuple[list, Obs]:
+        return _run(jobs, cache, self.policy)
+
     def test_cold_cache(self, tmp_path):
-        r1, serial = _run(jobs=1, cache=ResultCache(tmp_path / "a", enabled=True))
-        r2, parallel = _run(jobs=2, cache=ResultCache(tmp_path / "b", enabled=True))
+        r1, serial = self._run(jobs=1, cache=ResultCache(tmp_path / "a", enabled=True))
+        r2, parallel = self._run(jobs=2, cache=ResultCache(tmp_path / "b", enabled=True))
         assert r1 == r2 == [i * i for i in range(6)]
         assert _identity_rows(serial) == _identity_rows(parallel)
         assert _trace_shape(serial) == _trace_shape(parallel)
@@ -68,10 +78,10 @@ class TestSerialParallelIdentity:
     def test_warm_cache(self, tmp_path):
         cache_a = ResultCache(tmp_path / "a", enabled=True)
         cache_b = ResultCache(tmp_path / "b", enabled=True)
-        _run(jobs=1, cache=cache_a)
-        _run(jobs=2, cache=cache_b)
-        r1, serial = _run(jobs=1, cache=cache_a)
-        r2, parallel = _run(jobs=2, cache=cache_b)
+        self._run(jobs=1, cache=cache_a)
+        self._run(jobs=2, cache=cache_b)
+        r1, serial = self._run(jobs=1, cache=cache_a)
+        r2, parallel = self._run(jobs=2, cache=cache_b)
         assert r1 == r2
         assert _identity_rows(serial) == _identity_rows(parallel)
         # warm: every point is a hit, no task ran, no worker spans exist
@@ -80,7 +90,7 @@ class TestSerialParallelIdentity:
         assert _trace_shape(serial) == []
 
     def test_trace_is_valid_and_tracked_per_task(self, tmp_path):
-        _, scope = _run(jobs=2, cache=ResultCache(tmp_path / "c", enabled=True))
+        _, scope = self._run(jobs=2, cache=ResultCache(tmp_path / "c", enabled=True))
         events = scope.trace.events
         assert_spans_balanced(events)
         # one track per task (tid = task index + 1), named via metadata
@@ -99,12 +109,19 @@ class TestSerialParallelIdentity:
         assert main == ["pool.run_tasks"]
 
     def test_histogram_records_per_task_durations(self, tmp_path):
-        _, scope = _run(jobs=1, cache=ResultCache(tmp_path / "d", enabled=True))
+        _, scope = self._run(jobs=1, cache=ResultCache(tmp_path / "d", enabled=True))
         row = [
             r for r in scope.metrics.snapshot() if r["name"] == "pool.task_run_seconds"
         ][0]
         assert row["kind"] == "histogram"
         assert row["count"] == 6
+
+
+class TestSerialParallelIdentityUnderRetryPolicy(TestSerialParallelIdentity):
+    """A retrying policy dispatches through the same capture: worker
+    spans and metric rows are adopted at ``jobs=1`` and ``jobs=2``."""
+
+    policy = RunPolicy(retries=1)
 
 
 class TestDisabledPath:

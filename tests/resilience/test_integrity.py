@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.core.codecs import get_codec
 from repro.core.errors import CodecError, IntegrityError
-from repro.resilience import (
-    BitFlipInjector,
-    payload_crc32,
-    verify_blob,
-    with_checksum,
-)
+from repro.resilience import BitFlipInjector
 
 
 @pytest.fixture()
@@ -25,27 +22,27 @@ def blob():
 
 class TestChecksum:
     def test_with_checksum_records_payload_crc(self, blob):
-        stamped = with_checksum(blob)
-        assert stamped.meta["crc32"] == payload_crc32(blob.payload)
+        stamped = blob.with_checksum()
+        assert stamped.meta["crc32"] == zlib.crc32(blob.payload) & 0xFFFFFFFF
         assert stamped.payload == blob.payload
 
     def test_original_blob_is_untouched(self, blob):
-        with_checksum(blob)
+        blob.with_checksum()
         assert "crc32" not in blob.meta
 
     def test_verify_passes_on_clean_blob(self, blob):
-        assert verify_blob(with_checksum(blob)) is True
+        assert blob.with_checksum().verify() is True
 
     def test_legacy_blob_verifies_vacuously(self, blob):
-        assert verify_blob(blob) is False
+        assert blob.verify() is False
 
     def test_checksum_survives_spec_roundtrip(self, blob):
-        stamped = with_checksum(blob)
+        stamped = blob.with_checksum()
         rebuilt = type(blob).rebuild(stamped.spec(), stamped.payload)
-        assert verify_blob(rebuilt) is True
+        assert rebuilt.verify() is True
 
     def test_bit_flip_is_caught(self, blob):
-        stamped = with_checksum(blob)
+        stamped = blob.with_checksum()
         damaged = type(blob)(
             codec=stamped.codec,
             params=stamped.params,
@@ -55,10 +52,10 @@ class TestChecksum:
             compressed_bytes=stamped.compressed_bytes,
         )
         with pytest.raises(IntegrityError, match="payload checksum mismatch"):
-            verify_blob(damaged, context="layer conv2d_1")
+            damaged.verify(context="layer conv2d_1")
 
     def test_mismatch_message_names_the_context(self, blob):
-        stamped = with_checksum(blob)
+        stamped = blob.with_checksum()
         damaged = type(blob)(
             codec=stamped.codec,
             params=stamped.params,
@@ -66,7 +63,7 @@ class TestChecksum:
             meta=stamped.meta,
         )
         with pytest.raises(IntegrityError, match="conv2d_1"):
-            verify_blob(damaged, context="conv2d_1")
+            damaged.verify(context="conv2d_1")
 
     def test_integrity_error_is_codec_error(self):
         assert issubclass(IntegrityError, CodecError)

@@ -3,9 +3,12 @@ resolution, cache-before-dispatch, and timing counters."""
 
 from __future__ import annotations
 
+import traceback
+
 import pytest
 
-from repro.runtime import GridTask, ResultCache, Timings, default_jobs, run_tasks
+from repro.obs import MetricsRegistry
+from repro.runtime import GridTask, ResultCache, default_jobs, format_summary, run_tasks
 
 
 def _square(x: int) -> int:
@@ -59,86 +62,47 @@ class TestRunTasks:
 
     def test_parallel_exception_propagates(self):
         tasks = _tasks(3) + [GridTask(fn=_fail, args=(9,))]
-        with pytest.raises(ValueError, match="boom 9"):
+        with pytest.raises(ValueError, match="boom 9") as excinfo:
             run_tasks(tasks, jobs=2)
+        # the report still shows where the worker raised
+        assert "in _fail" in "".join(traceback.format_exception(excinfo.value))
 
     def test_timings_counters(self):
-        t = Timings()
-        run_tasks(_tasks(5), jobs=1, timings=t)
-        assert t.counters["tasks"] == 5
-        assert t.counters["tasks_run"] == 5
-        assert t.counters.get("cache_hits", 0) == 0
-        assert t.counters["task_seconds"] >= 0
-        assert "tasks_run=5" in t.summary()
+        t = MetricsRegistry()
+        run_tasks(_tasks(5), jobs=1, metrics=t)
+        assert t.value("tasks") == 5
+        assert t.value("tasks_run") == 5
+        assert t.value("cache_hits") == 0
+        assert t.value("task_seconds") >= 0
+        assert "tasks_run=5" in format_summary(t)
 
 
 class TestCacheIntegration:
     def test_cold_run_populates_warm_run_skips(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=True)
-        cold, warm = Timings(), Timings()
-        r1 = run_tasks(_tasks(4, keyed=True), jobs=2, cache=cache, timings=cold)
-        r2 = run_tasks(_tasks(4, keyed=True), jobs=2, cache=cache, timings=warm)
+        cold, warm = MetricsRegistry(), MetricsRegistry()
+        r1 = run_tasks(_tasks(4, keyed=True), jobs=2, cache=cache, metrics=cold)
+        r2 = run_tasks(_tasks(4, keyed=True), jobs=2, cache=cache, metrics=warm)
         assert r1 == r2 == [0, 1, 4, 9]
-        assert cold.counters["tasks_run"] == 4
-        assert warm.counters.get("tasks_run", 0) == 0
-        assert warm.counters["cache_hits"] == 4
-        assert warm.counters.get("task_seconds", 0.0) == 0.0
+        assert cold.value("tasks_run") == 4
+        assert warm.value("tasks_run") == 0
+        assert warm.value("cache_hits") == 4
+        assert warm.value("task_seconds") == 0.0
 
     def test_partial_warmth_runs_only_misses(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=True)
         run_tasks(_tasks(2, keyed=True), jobs=1, cache=cache)
-        t = Timings()
-        out = run_tasks(_tasks(5, keyed=True), jobs=1, cache=cache, timings=t)
+        t = MetricsRegistry()
+        out = run_tasks(_tasks(5, keyed=True), jobs=1, cache=cache, metrics=t)
         assert out == [0, 1, 4, 9, 16]
-        assert t.counters["cache_hits"] == 2
-        assert t.counters["tasks_run"] == 3
+        assert t.value("cache_hits") == 2
+        assert t.value("tasks_run") == 3
 
     def test_unkeyed_tasks_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path, enabled=True)
-        t = Timings()
-        run_tasks(_tasks(3, keyed=False), jobs=1, cache=cache, timings=t)
-        run_tasks(_tasks(3, keyed=False), jobs=1, cache=cache, timings=t)
-        assert t.counters["tasks_run"] == 6
+        t = MetricsRegistry()
+        run_tasks(_tasks(3, keyed=False), jobs=1, cache=cache, metrics=t)
+        run_tasks(_tasks(3, keyed=False), jobs=1, cache=cache, metrics=t)
+        assert t.value("tasks_run") == 6
         assert cache.puts == 0
 
-
-class TestTimings:
-    def test_merge(self):
-        a, b = Timings(), Timings()
-        a.add("tasks", 2)
-        b.add("tasks", 3)
-        b.add("cache_hits", 1)
-        a.merge(b)
-        assert a.counters == {"tasks": 5, "cache_hits": 1}
-
-    def test_timer_context(self):
-        t = Timings()
-        with t.timer("task_seconds"):
-            pass
-        assert t.counters["task_seconds"] >= 0
-
-    def test_merge_wall_seconds_is_envelope_not_sum(self):
-        """Regression: concurrent sub-sweeps overlap in wall time, so
-        merging their ``wall_seconds`` by summation overstates elapsed
-        time — the merged value must be the max."""
-        a, b = Timings(), Timings()
-        a.add("wall_seconds", 2.0)
-        a.add("task_seconds", 2.0)
-        b.add("wall_seconds", 5.0)
-        b.add("task_seconds", 5.0)
-        a.merge(b)
-        assert a.counters["wall_seconds"] == 5.0  # envelope
-        assert a.counters["task_seconds"] == 7.0  # in-worker time still sums
-
-    def test_merge_wall_seconds_never_shrinks(self):
-        a, b = Timings(), Timings()
-        a.add("wall_seconds", 5.0)
-        b.add("wall_seconds", 1.0)
-        a.merge(b)
-        assert a.counters["wall_seconds"] == 5.0
-
-    def test_facade_exposes_registry(self):
-        t = Timings()
-        t.add("tasks", 3)
-        assert t.registry.value("tasks") == 3
-        assert t.counters == {"tasks": 3}

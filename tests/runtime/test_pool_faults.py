@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.errors import FaultError
 from repro.resilience import crash, crash_once, hang_once, kill_once
-from repro.runtime import GridTask, ResultCache, RunPolicy, Timings, run_tasks
+from repro.obs import MetricsRegistry
+from repro.runtime import GridTask, ResultCache, RunPolicy, run_tasks
 
 
 def _square(x: int) -> int:
@@ -104,12 +105,12 @@ class TestBackoffSchedule:
         """A jittered policy through the real retry loop: the retry
         happens and the jittered sleep stays under the capped base."""
         sentinel = str(tmp_path / "s")
-        timings = Timings()
+        metrics = MetricsRegistry()
         start = time.perf_counter()
         results = run_tasks(
             [GridTask(fn=crash_once, args=(sentinel, 42))],
             jobs=1,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(
                 retries=1, backoff=0.05, max_backoff=0.05, jitter=True,
                 jitter_seed=0,
@@ -117,56 +118,56 @@ class TestBackoffSchedule:
         )
         elapsed = time.perf_counter() - start
         assert results == [42]
-        assert timings.counters["task_retries"] == 1
+        assert metrics.value("task_retries") == 1
         assert elapsed < 5.0  # jitter never exceeds the 50 ms cap
 
 
 class TestRetry:
     def test_crash_once_recovers_serially(self, tmp_path):
         sentinel = str(tmp_path / "s")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = _grid(3) + [GridTask(fn=crash_once, args=(sentinel, 42))]
         results = run_tasks(
-            tasks, jobs=1, timings=timings, policy=RunPolicy(retries=1)
+            tasks, jobs=1, metrics=metrics, policy=RunPolicy(retries=1)
         )
         assert results == [0, 1, 4, 42]
-        assert timings.counters["task_retries"] == 1
+        assert metrics.value("task_retries") == 1
 
     def test_crash_once_recovers_in_parallel(self, tmp_path):
         sentinel = str(tmp_path / "s")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = _grid(3) + [GridTask(fn=crash_once, args=(sentinel, 42))]
         results = run_tasks(
-            tasks, jobs=2, timings=timings, policy=RunPolicy(retries=1)
+            tasks, jobs=2, metrics=metrics, policy=RunPolicy(retries=1)
         )
         assert results == [0, 1, 4, 42]
-        assert timings.counters["task_retries"] == 1
+        assert metrics.value("task_retries") == 1
 
     def test_failed_attempt_time_lands_in_its_own_counter(self, tmp_path):
         """Regression: a failed attempt's duration used to vanish (pool
         path) or pollute ``task_seconds`` — it belongs to
         ``task_failed_seconds``."""
         sentinel = str(tmp_path / "s")
-        timings = Timings()
+        metrics = MetricsRegistry()
         run_tasks(
             [GridTask(fn=crash_once, args=(sentinel, 42))],
             jobs=1,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(retries=1),
         )
-        assert timings.counters["task_failed_seconds"] > 0.0
+        assert metrics.value("task_failed_seconds") > 0.0
         # only the successful attempt counts as executed work
-        assert timings.counters["tasks_run"] == 1
+        assert metrics.value("tasks_run") == 1
 
     def test_failed_attempt_time_survives_the_pool_boundary(self, tmp_path):
         sentinel = str(tmp_path / "s")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = _grid(3) + [GridTask(fn=crash_once, args=(sentinel, 42))]
         results = run_tasks(
-            tasks, jobs=2, timings=timings, policy=RunPolicy(retries=1)
+            tasks, jobs=2, metrics=metrics, policy=RunPolicy(retries=1)
         )
         assert results == [0, 1, 4, 42]
-        assert timings.counters["task_failed_seconds"] > 0.0
+        assert metrics.value("task_failed_seconds") > 0.0
 
     def test_retries_exhausted_raises_original(self):
         with pytest.raises(FaultError, match="injected worker crash"):
@@ -186,14 +187,14 @@ class TestRetry:
 
 class TestSalvage:
     def test_exhausted_task_becomes_none_slot(self):
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = [GridTask(fn=crash, args=())] + _grid(3)
         results = run_tasks(
-            tasks, jobs=1, timings=timings, policy=RunPolicy(salvage=True)
+            tasks, jobs=1, metrics=metrics, policy=RunPolicy(salvage=True)
         )
         assert results == [None, 0, 1, 4]
-        assert timings.counters["tasks_failed"] == 1
-        assert timings.counters["tasks_run"] == 3
+        assert metrics.value("tasks_failed") == 1
+        assert metrics.value("tasks_run") == 3
 
     def test_failed_slots_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", enabled=True)
@@ -209,31 +210,31 @@ class TestSalvage:
 class TestTimeout:
     def test_hung_task_is_abandoned_and_redispatched(self, tmp_path):
         sentinel = str(tmp_path / "hang")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = [GridTask(fn=hang_once, args=(sentinel, 1.0, "slow"))] + _grid(3)
         results = run_tasks(
             tasks,
             jobs=2,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(timeout=0.25, retries=1),
         )
         # the retry after the timeout sees the sentinel and returns fast
         assert results == ["slow", 0, 1, 4]
-        assert timings.counters["task_timeouts"] == 1
+        assert metrics.value("task_timeouts") == 1
 
     def test_finished_results_salvaged_from_abandoned_pool(self, tmp_path):
         sentinel = str(tmp_path / "hang")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = [GridTask(fn=hang_once, args=(sentinel, 1.0, "slow"))] + _grid(5)
         results = run_tasks(
             tasks,
             jobs=3,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(timeout=0.25, retries=1),
         )
         assert results == ["slow", 0, 1, 4, 9, 16]
         # every grid point ran exactly once somewhere
-        assert timings.counters["tasks_run"] == 6
+        assert metrics.value("tasks_run") == 6
 
     def test_deadline_runs_from_submission_not_collection_order(self, tmp_path):
         """Regression: the per-task timeout used to be measured from the
@@ -243,7 +244,7 @@ class TestTimeout:
         slow-but-finishing predecessors consume the shared wall-clock
         budget, and the hang is detected within ~``timeout`` total."""
         sentinel = str(tmp_path / "hang")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = [
             GridTask(fn=_sleep_return, args=(0.3, "a")),
             GridTask(fn=_sleep_return, args=(0.6, "b")),
@@ -252,7 +253,7 @@ class TestTimeout:
         ]
         t0 = time.perf_counter()
         results = run_tasks(
-            tasks, jobs=4, timings=timings, policy=RunPolicy(timeout=1.0)
+            tasks, jobs=4, metrics=metrics, policy=RunPolicy(timeout=1.0)
         )
         elapsed = time.perf_counter() - t0
         # the serial re-dispatch sees the sentinel and returns instantly,
@@ -260,7 +261,7 @@ class TestTimeout:
         # accounting needed ~1.9s (0.9s of predecessors + a fresh 1.0s
         # budget for the hung future)
         assert results == ["a", "b", "c", "hung"]
-        assert timings.counters["task_timeouts"] == 1
+        assert metrics.value("task_timeouts") == 1
         assert elapsed < 1.6, (
             f"hang declared after {elapsed:.2f}s — the per-task deadline "
             "is not being measured from submission"
@@ -280,17 +281,28 @@ class TestTimeout:
 class TestBrokenPool:
     def test_killed_worker_recovers_serially(self, tmp_path):
         sentinel = str(tmp_path / "kill")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = [GridTask(fn=kill_once, args=(sentinel, "back"))] + _grid(3)
         results = run_tasks(
-            tasks, jobs=2, timings=timings, policy=RunPolicy(retries=1)
+            tasks, jobs=2, metrics=metrics, policy=RunPolicy(retries=1)
         )
         assert results == ["back", 0, 1, 4]
-        assert timings.counters["pool_restarts"] == 1
+        assert metrics.value("pool_restarts") == 1
+
+    def test_killed_worker_recovers_without_a_policy(self, tmp_path):
+        """The default ``RunPolicy()`` recovers a broken pool too: the
+        killed worker's unfinished tasks re-dispatch serially."""
+        sentinel = str(tmp_path / "kill")
+        metrics = MetricsRegistry()
+        tasks = [GridTask(fn=kill_once, args=(sentinel, "back"))] + _grid(3)
+        results = run_tasks(tasks, jobs=2, metrics=metrics)
+        assert results == ["back", 0, 1, 4]
+        assert metrics.value("pool_restarts") == 1
+        assert metrics.value("tasks_run") == 4
 
     def test_strict_default_policy_still_propagates(self):
-        # without a policy the historical contract holds: first
-        # exception propagates, no recovery
+        # the default policy grants no retries: the task's own
+        # exception propagates unchanged
         with pytest.raises(FaultError):
             run_tasks([GridTask(fn=crash, args=())], jobs=1)
 
@@ -299,10 +311,10 @@ class TestCombinedFaults:
     def test_crash_and_hang_in_one_sweep(self, tmp_path):
         """The acceptance scenario: one killed worker AND one hung task
         in the same sweep — it still completes with correct results and
-        the timings report the recovery work."""
+        the counters report the recovery work."""
         crash_s = str(tmp_path / "crash")
         hang_s = str(tmp_path / "hang")
-        timings = Timings()
+        metrics = MetricsRegistry()
         tasks = (
             _grid(3)
             + [GridTask(fn=crash_once, args=(crash_s, "crashed"))]
@@ -312,12 +324,12 @@ class TestCombinedFaults:
         results = run_tasks(
             tasks,
             jobs=2,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(timeout=0.25, retries=2),
         )
         assert results == [0, 1, 4, "crashed", "hung", 0, 1]
-        assert timings.counters["task_retries"] >= 1
-        assert timings.counters["tasks_run"] == 7
+        assert metrics.value("task_retries") >= 1
+        assert metrics.value("tasks_run") == 7
 
 
 class TestCacheInteraction:
@@ -325,13 +337,13 @@ class TestCacheInteraction:
         cache = ResultCache(tmp_path / "cache", enabled=True)
         key = "a" * 64
         cache.put(key, "cached")
-        timings = Timings()
+        metrics = MetricsRegistry()
         results = run_tasks(
             [GridTask(fn=crash, args=(), key=key)],
             jobs=1,
             cache=cache,
-            timings=timings,
+            metrics=metrics,
             policy=RunPolicy(),
         )
         assert results == ["cached"]
-        assert timings.counters["cache_hits"] == 1
+        assert metrics.value("cache_hits") == 1

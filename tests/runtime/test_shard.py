@@ -26,7 +26,7 @@ import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry, is_time_metric
-from repro.runtime import GridTask, ResultCache, Timings, result_key, run_tasks
+from repro.runtime import GridTask, ResultCache, result_key, run_tasks
 from repro.runtime.shard import (
     LeaseManager,
     ShardStore,
@@ -55,6 +55,11 @@ def _grid(n: int) -> list[GridTask]:
         GridTask(fn=_counting_point, args=(i,), key=result_key("shard-test", i=i))
         for i in range(n)
     ]
+
+
+def _sleep_point(i: int) -> int:
+    time.sleep(0.1)
+    return i
 
 
 def _blocked_point(i: int, flag_dir: str) -> int:
@@ -265,15 +270,15 @@ class TestShardedIdentity:
         expected = run_tasks(tasks, jobs=1, cache=serial_cache)
 
         shard_cache = ResultCache(root=tmp_path / "sharded", enabled=True)
-        timings = Timings()
+        metrics = MetricsRegistry()
         got = run_sharded(
-            tasks, 4, cache=shard_cache, workers=2, timings=timings,
+            tasks, 4, cache=shard_cache, workers=2, metrics=metrics,
             lease_ttl=5.0, poll=0.02,
         )
         assert got == expected
         assert _entry_bytes(shard_cache.root) == _entry_bytes(serial_cache.root)
-        assert timings.counters["tasks"] == 9
-        assert timings.counters["tasks_run"] == 9
+        assert metrics.value("tasks") == 9
+        assert metrics.value("tasks_run") == 9
 
     def test_run_tasks_shards_kwarg_delegates(self, tmp_path):
         tasks = _grid(6)
@@ -292,11 +297,13 @@ class TestShardedIdentity:
         tasks = _grid(6)
         cache = ResultCache(root=tmp_path, enabled=True)
         first = run_sharded(tasks, 3, cache=cache)
-        timings = Timings()
-        again = run_sharded(tasks, 3, cache=cache, timings=timings)
+        metrics = MetricsRegistry()
+        again = run_sharded(tasks, 3, cache=cache, metrics=metrics)
         assert again == first
         # done markers short-circuit the workers; assembly is all hits
-        assert timings.counters["cache_hits"] == 6
+        assert metrics.value("cache_hits") == 6
+        # the first run's markers describe its work, not this call's
+        assert metrics.value("tasks_run") == 0
 
     def test_quarantine_reconciliation(self, tmp_path):
         """An entry that rots after its shard ran is quarantined and
@@ -348,11 +355,11 @@ class TestCacheMerge:
         assert union.merge(b) == {"merged": 4, "skipped": 0, "corrupt": 0}
         assert _entry_bytes(union.root) == _entry_bytes(shared.root)
         # and the merged dir serves the grid fully warm
-        timings = Timings()
-        assert run_tasks(tasks, jobs=1, cache=union, timings=timings) == [
+        metrics = MetricsRegistry()
+        assert run_tasks(tasks, jobs=1, cache=union, metrics=metrics) == [
             {"i": i, "sq": i * i} for i in range(8)
         ]
-        assert timings.counters["cache_hits"] == 8
+        assert metrics.value("cache_hits") == 8
 
     def test_merge_skips_existing_and_quarantines_corrupt(self, tmp_path):
         tasks = _grid(3)
@@ -404,17 +411,22 @@ class TestMetricMergeCommutativity:
             assert _identity_rows(registry.snapshot()) == want, perm
 
     def test_shard_timings_envelope_wall_clock(self, tmp_path):
-        """Shard wall clocks overlap: the merged wall_seconds is the
-        envelope (max), not the sum — the PR-5 rule applied shard-level."""
-        tasks = _grid(4)
+        """The run's ``wall_seconds`` is the call's own elapsed time: it
+        envelopes the shard wall clocks (one worker drains its shards
+        one after another, so it covers their sum) and stays within the
+        caller's clock."""
+        tasks = [
+            GridTask(fn=_sleep_point, args=(i,), key=result_key("shard-wall", i=i))
+            for i in range(4)
+        ]
         cache = ResultCache(root=tmp_path, enabled=True)
-        timings = Timings()
-        run_sharded(tasks, 4, cache=cache, timings=timings)
+        metrics = MetricsRegistry()
+        t0 = time.perf_counter()
+        run_sharded(tasks, 4, cache=cache, metrics=metrics)
+        elapsed = time.perf_counter() - t0
         store = ShardStore(Path(cache.root) / "shards" / grid_id(tasks))
         walls = [store.read_done(s)["timings"]["wall_seconds"] for s in range(4)]
-        # assembly adds its own (warm, tiny) wall pass on top of the max
-        assert timings.counters["wall_seconds"] < sum(walls) + 1.0
-        assert timings.counters["wall_seconds"] >= max(walls)
+        assert sum(walls) <= metrics.value("wall_seconds") <= elapsed
 
 
 # -- crash-resume ------------------------------------------------------------
