@@ -7,11 +7,11 @@ import pytest
 
 from repro.analysis.report import render_table
 from repro.core import (
+    LineFitCodec,
     StorageFormat,
-    compress,
-    compress_percent,
+    footprint_ratio,
+    get_codec,
     select_multi,
-    weighted_ratio,
 )
 from repro.mapping import Accelerator, AcceleratorConfig
 from repro.nn import zoo
@@ -30,7 +30,7 @@ class TestWeakVsStrictMonotonicity:
 
         def sweep():
             return [
-                [name, f"{pct}%", compress_percent(w, pct).compression_ratio]
+                [name, f"{pct}%", get_codec("linefit", delta_pct=pct).encode(w).compression_ratio]
                 for name, w in (("adversarial", adversarial), ("gaussian", gaussian))
                 for pct in (0, 5, 15, 30)
             ]
@@ -54,13 +54,13 @@ class TestDecompressorThroughput:
     def test_units_sweep(self, benchmark, save_artifact):
         spec = zoo.lenet5.full()
         weights = spec.materialize("dense_1").ravel()
-        stream = compress_percent(weights, 15.0)
+        blob = get_codec("linefit", delta_pct=15.0).encode(weights)
 
         def sweep():
             rows = []
             for units in (1, 2, 4, 8):
                 acc = Accelerator(AcceleratorConfig(decompressor_units=units))
-                eff = acc.compression_effect(stream)
+                eff = acc.compression_effect(blob)
                 res = acc.run_model(spec, {"dense_1": eff}, mode="txn")
                 rows.append([units, res.total_latency.computation,
                              res.total_latency.total])
@@ -91,8 +91,9 @@ class TestStorageFormatOverhead:
         def sweep():
             rows = []
             for name, fmt in formats.items():
-                cs = compress(w, 0.0, fmt=fmt)
-                rows.append([name, cs.compression_ratio, cs.mse(w)])
+                codec = LineFitCodec(delta=0.0, fmt=fmt)
+                blob = codec.encode(w)
+                rows.append([name, blob.compression_ratio, codec.reconstruction_mse(blob, w)])
             return rows
 
         rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
@@ -122,7 +123,7 @@ class TestMultiLayerSelection:
                 chosen = select_multi(spec, max_layers=k)
                 compressed_params = sum(l.weight_params for l in chosen)
                 # assume each chosen layer compresses at the fc1000 delta=6% CR
-                wcr = weighted_ratio(spec.total_params, compressed_params, 6.0)
+                wcr = footprint_ratio(spec.total_params, compressed_params, 6.0)
                 rows.append([k, compressed_params / spec.total_params, wcr])
             return rows
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 from repro.analysis.report import render_table
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.energy import estimate_sram
 from repro.mapping import Accelerator, AcceleratorConfig
 from repro.noc.memory_if import DramConfig
@@ -125,7 +125,7 @@ def test_compression_savings_vs_bandwidth(benchmark, save_artifact):
     (bandwidth-starved edge accelerators)."""
     spec = zoo.lenet5.full()
     w = spec.materialize("dense_1").ravel()
-    stream = compress_percent(w, 15.0)
+    blob = get_codec("linefit", delta_pct=15.0).encode(w)
 
     def sweep():
         rows = []
@@ -134,7 +134,7 @@ def test_compression_savings_vs_bandwidth(benchmark, save_artifact):
                 AcceleratorConfig(dram=DramConfig(bandwidth_bytes_per_cycle=bw))
             )
             base = acc.run_model(spec, mode="txn").total_latency.total
-            eff = acc.compression_effect(stream)
+            eff = acc.compression_effect(blob)
             comp = acc.run_model(spec, {"dense_1": eff}, mode="txn").total_latency.total
             rows.append([f"{bw:.0f} B/cyc", base, comp, f"{1 - comp / base:.1%}"])
         return rows
@@ -158,9 +158,9 @@ def test_batch_size_sweep(benchmark, save_artifact):
     target) benefit the most."""
     spec = zoo.lenet5.full()
     w = spec.materialize("dense_1").ravel()
-    stream = compress_percent(w, 15.0)
+    blob = get_codec("linefit", delta_pct=15.0).encode(w)
     acc = Accelerator()
-    eff = acc.compression_effect(stream)
+    eff = acc.compression_effect(blob)
 
     def sweep():
         rows = []

@@ -13,7 +13,7 @@ import numpy as np
 from repro.analysis.entropy import english_like_text
 from repro.analysis.report import render_table
 from repro.baselines import huffman_ratio, lz_ratio, rle_ratio
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.core.multilayer import optimize_multilayer
 from repro.core.pruning import prune_magnitude, pruned_footprint_bytes
 from repro.experiments.common import trained_proxy
@@ -71,13 +71,13 @@ def test_pruning_stacking(benchmark, save_artifact):
         rows = []
         for sparsity in (0.0, 0.5, 0.8, 0.9):
             pt = prune_magnitude(w, sparsity)
-            stream = compress_percent(pt.values, 15.0)
+            blob = get_codec("linefit", delta_pct=15.0).encode(pt.values)
             rows.append(
                 [
                     f"{sparsity:.0%}",
                     f"{pruned_footprint_bytes(pt):,}",
-                    f"{stream.compressed_bytes:,}",
-                    f"{stream.compression_ratio:.2f}",
+                    f"{blob.compressed_bytes:,}",
+                    f"{blob.compression_ratio:.2f}",
                 ]
             )
         return rows
@@ -110,7 +110,7 @@ def test_lossless_baselines_fail_on_weights(benchmark, save_artifact):
             ["LZSS", f"{lz_ratio(wbytes):.3f}", f"{lz_ratio(text):.3f}"],
             [
                 "proposed (delta=15%, lossy)",
-                f"{compress_percent(w, 15.0).compression_ratio:.3f}",
+                f"{get_codec('linefit', delta_pct=15.0).encode(w).compression_ratio:.3f}",
                 "-",
             ],
         ]

@@ -13,7 +13,7 @@ import numpy as np
 from repro.core import (
     CompressionPipeline,
     DesignPoint,
-    compress_percent,
+    get_codec,
     knee_point,
     pareto_front,
 )
@@ -40,7 +40,8 @@ points = []
 deltas = (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)
 for delta in deltas:
     record = pipeline.run_delta(delta)
-    effect = acc.compression_effect(compress_percent(weights, delta))
+    blob = get_codec("linefit", delta_pct=delta).encode(weights)
+    effect = acc.compression_effect(blob)
     result = acc.run_model(spec, {"dense_1": effect}, mode="flit")
     points.append(
         DesignPoint(

@@ -11,7 +11,7 @@ footprint saving, then compares against the single-layer policy.
 
 import numpy as np
 
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.core.multilayer import optimize_multilayer
 from repro.datasets import train_test
 from repro.nn import TrainConfig, evaluate, train
@@ -37,7 +37,7 @@ for budget in (0.01, 0.03, 0.05, 0.10):
 
 # reference: the paper's single-layer policy at delta = 15%
 w = spec.materialize("dense_1").ravel()
-stream = compress_percent(w, 15.0)
-saving = stream.original_bytes - stream.compressed_bytes
+blob = get_codec("linefit", delta_pct=15.0).encode(w)
+saving = blob.original_bytes - blob.compressed_bytes
 print(f"\nsingle-layer reference (dense_1 @ 15%): "
       f"{saving / (spec.total_params * 4):.1%} footprint reduction")

@@ -10,7 +10,7 @@ and the end-to-end savings (the mechanism behind Fig. 10).
 """
 
 from repro.analysis import latency_bars, render_bars
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.mapping import Accelerator
 from repro.nn.zoo import lenet5
 
@@ -23,10 +23,10 @@ print(render_bars(latency_bars(base),
                   title="per-layer latency breakdown (uncompressed)"))
 
 weights = spec.materialize("dense_1")
-stream = compress_percent(weights.ravel(), 15.0)
-effect = acc.compression_effect(stream)
-print(f"\ncompressing dense_1 at delta=15%: CR = {stream.compression_ratio:.2f}, "
-      f"{stream.num_segments:,} segments")
+blob = get_codec("linefit", delta_pct=15.0).encode(weights)
+effect = acc.compression_effect(blob)
+print(f"\ncompressing dense_1 at delta=15%: CR = {blob.compression_ratio:.2f}, "
+      f"{blob.num_segments:,} segments")
 
 comp = acc.run_model(spec, {"dense_1": effect}, mode="flit")
 print(render_bars(latency_bars(comp),

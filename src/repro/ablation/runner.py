@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: bump to invalidate cached arm results when runner semantics change
-KEY_VERSION = 1
+KEY_VERSION = 2
 
 
 class IdenticalDeltaViolation(AblationError):

@@ -3,8 +3,11 @@
 Every runner is a module-level function ``(workload, on, fast) ->
 dict`` (picklable for pool/shard workers) that executes the workload
 with the feature ``on`` or ``off`` through the subsystem's *real*
-toggle hook — codec parameters (``framing``, ``segmenter``,
-``delta_pct``, ``fmt``), :class:`~repro.mapping.accelerator.
+toggle hook — codec parameters (``delta_pct``, ``fmt``), the wire
+packers and partitioning rules the line-fit codec is built from
+(:func:`repro.core.codec.encode`/``encode_legacy``,
+:func:`~repro.core.segmentation.segment_boundaries`/
+``segment_greedy_reference``), :class:`~repro.mapping.accelerator.
 AcceleratorConfig` fields (``reference_stepper``, ``routing``,
 ``streamed_decode``, ``refetch_model``, ``demand_mode``), or the
 :mod:`repro.runtime` cache API — never a reimplementation of the
@@ -16,15 +19,22 @@ and the tier-1 zero-delta smoke run against.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import tempfile
 
 import numpy as np
 
-from ..core.codecs import LineFitCodec
-from ..core.compression import StorageFormat, compress_percent
+from ..core import codec as wire
+from ..core.codecs import CompressedBlob, LineFitCodec
+from ..core.compression import StorageFormat
 from ..core.provider import provider_for
+from ..core.segmentation import (
+    delta_from_percent,
+    segment_boundaries,
+    segment_greedy_reference,
+)
 from ..runtime import GridTask, ResultCache, result_key, run_tasks
 from . import workloads as wl
 from .registry import IDENTICAL, MEASURED, Feature, FeatureRegistry
@@ -36,9 +46,8 @@ _DELTA_PCT = 10.0  # the shared operating point of the codec-side features
 STREAMS = ("lenet-dense", "gaussian", "adversarial")
 
 
-def _codec_metrics(codec: LineFitCodec, w: np.ndarray) -> dict:
+def _codec_metrics(codec: LineFitCodec, blob: CompressedBlob, w: np.ndarray) -> dict:
     """CR / MSE / segment count plus the decoded-bytes identity witness."""
-    blob = codec.encode(w)
     decoded = codec.decode(blob)
     return {
         "cr": float(blob.compression_ratio),
@@ -54,21 +63,29 @@ def _codec_metrics(codec: LineFitCodec, w: np.ndarray) -> dict:
 def run_crc_framing(workload: str, on: bool, fast: bool) -> dict:
     """v3 CRC-framed wire format vs the pre-integrity v2 layout.
 
-    Framing adds detection, never content: decoded bytes, CR (the cost
-    model excludes the trailer) and MSE must all be unchanged.
+    Both arms pack the same parsed stream, with :func:`repro.core.codec.
+    encode` or ``encode_legacy``, and decode the bytes through the
+    codec.  Framing adds detection, never content: decoded bytes, CR
+    (the cost model excludes the trailer) and MSE must all be unchanged.
     """
     w = wl.stream(workload, fast)
-    codec = LineFitCodec(delta_pct=_DELTA_PCT, framing="crc" if on else "legacy")
-    return _codec_metrics(codec, w)
+    codec = LineFitCodec(delta_pct=_DELTA_PCT)
+    blob = codec.encode(w)
+    pack = wire.encode if on else wire.encode_legacy
+    blob = dataclasses.replace(blob, payload=pack(codec.decode_stream(blob)))
+    return _codec_metrics(codec, blob, w)
 
 
 def run_segmenter(workload: str, on: bool, fast: bool) -> dict:
-    """Vectorized partitioning rule vs the sequential greedy reference."""
+    """Vectorized partitioning rule vs the sequential greedy reference:
+    the two implementations of Eq. (1) must cut identical boundaries."""
     w = wl.stream(workload, fast)
-    codec = LineFitCodec(
-        delta_pct=_DELTA_PCT, segmenter="vectorized" if on else "reference"
-    )
-    return _codec_metrics(codec, w)
+    segment = segment_boundaries if on else segment_greedy_reference
+    boundaries = segment(w, delta_from_percent(w, _DELTA_PCT))
+    return {
+        "boundaries": wl.decoded_digest(boundaries),
+        "num_segments": float(boundaries.size - 1),
+    }
 
 
 def run_streamed_decode(workload: str, on: bool, fast: bool) -> dict:
@@ -104,12 +121,13 @@ def run_streamed_decode(workload: str, on: bool, fast: bool) -> dict:
 def _cache_point(workload: str, fast: bool, delta_pct: float) -> dict:
     """One grid point of the result-cache feature's inner sweep."""
     w = wl.stream(workload, fast)
-    stream = compress_percent(w, delta_pct)
+    codec = LineFitCodec(delta_pct=delta_pct)
+    blob = codec.encode(w)
     return {
         "delta_pct": delta_pct,
-        "cr": float(stream.compression_ratio),
-        "mse": float(stream.mse(w)),
-        "num_segments": float(stream.num_segments),
+        "cr": float(blob.compression_ratio),
+        "mse": float(codec.reconstruction_mse(blob, w)),
+        "num_segments": float(blob.num_segments),
     }
 
 
@@ -169,7 +187,7 @@ def run_monotonicity(workload: str, on: bool, fast: bool) -> dict:
     """Weak-monotonic rule (delta > 0) vs strict sense (delta = 0)."""
     w = wl.stream(workload, fast)
     codec = LineFitCodec(delta_pct=_DELTA_PCT if on else 0.0)
-    m = _codec_metrics(codec, w)
+    m = _codec_metrics(codec, codec.encode(w), w)
     del m["decoded"]  # measured: the numeric deltas are the result
     return m
 
@@ -182,7 +200,8 @@ def run_storage_format(workload: str, on: bool, fast: bool) -> dict:
         if on
         else StorageFormat(slope_bytes=2, intercept_bytes=2)
     )
-    m = _codec_metrics(LineFitCodec(delta_pct=_DELTA_PCT, fmt=fmt), w)
+    codec = LineFitCodec(delta_pct=_DELTA_PCT, fmt=fmt)
+    m = _codec_metrics(codec, codec.encode(w), w)
     del m["decoded"]
     return m
 
@@ -230,7 +249,7 @@ for _feature in (
         name="core.crc_framing",
         delta_class=IDENTICAL,
         description="CRC32 frame integrity in the wire format",
-        toggle="LineFitCodec(framing='crc'|'legacy')",
+        toggle="repro.core.codec.encode | encode_legacy",
         runner=run_crc_framing,
         workloads=("lenet-dense", "adversarial"),
     ),
@@ -238,7 +257,7 @@ for _feature in (
         name="core.segmenter",
         delta_class=IDENTICAL,
         description="vectorized monotone-run partitioner vs greedy reference",
-        toggle="compress(segmenter='vectorized'|'reference')",
+        toggle="segment_boundaries | segment_greedy_reference",
         runner=run_segmenter,
         workloads=STREAMS,
     ),

@@ -1,16 +1,14 @@
 """Entropy, breakdown and report-rendering utilities."""
 
-from .breakdown import LayerBars, energy_bars, latency_bars, normalize_series
+from .breakdown import LayerBars, energy_bars, latency_bars
 from .entropy import byte_entropy, english_like_text, random_bytes
 from .linkstats import LinkUtilization, link_utilization, render_link_report
 from .report import render_bars, render_table
-from .roofline import LayerRoofline, MachineBalance, machine_balance, roofline
 
 __all__ = [
     "LayerBars",
     "energy_bars",
     "latency_bars",
-    "normalize_series",
     "byte_entropy",
     "english_like_text",
     "random_bytes",
@@ -19,8 +17,4 @@ __all__ = [
     "LinkUtilization",
     "link_utilization",
     "render_link_report",
-    "LayerRoofline",
-    "MachineBalance",
-    "machine_balance",
-    "roofline",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from ..energy.model import COMPONENTS
 from ..mapping.accelerator import ModelResult
 
-__all__ = ["LayerBars", "latency_bars", "energy_bars", "normalize_series"]
+__all__ = ["LayerBars", "latency_bars", "energy_bars"]
 
 LATENCY_PARTS = ("memory", "communication", "computation")
 
@@ -66,13 +66,3 @@ def _maybe_normalize(bars: list[LayerBars], normalize: bool) -> list[LayerBars]:
         LayerBars(label=b.label, parts={k: v / peak for k, v in b.parts.items()})
         for b in bars
     ]
-
-
-def normalize_series(values: list[float], baseline: float | None = None) -> list[float]:
-    """Scale a series by its first element (Fig. 10's normalized axes)."""
-    if not values:
-        return []
-    base = baseline if baseline is not None else values[0]
-    if base == 0:
-        raise ValueError("cannot normalize by zero")
-    return [v / base for v in values]

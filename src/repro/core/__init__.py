@@ -1,28 +1,35 @@
 """The paper's primary contribution: lossy weight-stream compression.
 
+``get_codec("linefit", delta_pct=...)`` is the one public way to
+compress a weight stream: its ``encode`` returns a ``CompressedBlob``
+(the ⟨m, q, len⟩ wire bytes plus their ``compression_ratio``),
+``decode`` regenerates the weights, and ``reconstruction_mse`` gives
+the Tab. II MSE.
+
 Sub-modules
 -----------
+codecs
+    Pluggable codec registry: ``get_codec("linefit"|"huffman"|"rle"|
+    "lz"|"quantize-int8", ...)``, ``|``-chained composition, and the
+    ``Codec``/``CompressedBlob`` contract every consumer speaks.
 segmentation
     Weak-sense monotonic greedy partitioning (Eq. (1)).
 linefit
     Vectorized per-segment least-squares fits.
 compression
-    ``compress`` / ``CompressedStream`` — the public compression API.
+    The line-fit codec's internals: ``compress`` and the parsed
+    ``CompressedStream`` form, plus the ``StorageFormat`` cost model.
 decompressor
     Cycle/bit-level model of the on-PE decompression unit (Fig. 6):
     the ``DecodePlan`` built once per stream, its column-step
-    accumulator kernel — the only line-fit decoder, behind
-    ``CompressedStream.decompress`` and every codec, archive and
-    streamed decode — and the ``WeightStream`` tile cursor.
+    accumulator kernel — the only line-fit decoder, behind every
+    codec, archive and streamed decode — and the ``WeightStream`` tile
+    cursor.
 provider
     Streamed weight delivery: the ``WeightProvider`` contract that lets
     consumers pull decoded tiles on demand (fused decode+MAC).
 codec
     Byte-level wire format of compressed streams.
-codecs
-    Pluggable codec registry: ``get_codec("linefit"|"huffman"|"rle"|
-    "lz"|"quantize-int8", ...)``, ``|``-chained composition, and the
-    ``Codec``/``CompressedBlob`` contract every consumer speaks.
 metrics
     CR / weighted CR / footprint / MSE reporting (Tab. II).
 quantization
@@ -60,19 +67,8 @@ from .codecs import (
     get_codec,
     register_codec,
 )
-from .compression import (
-    CompressedStream,
-    StorageFormat,
-    compress,
-    compress_percent,
-    quantize_coefficient,
-)
-from .decompressor import (
-    DecodePlan,
-    DecompressionUnit,
-    DecompressorTiming,
-    WeightStream,
-)
+from .compression import StorageFormat
+from .decompressor import DecodePlan, DecompressorTiming, WeightStream
 from .errors import FaultError, IntegrityError
 from .layer_selection import select_layer, select_layer_model, select_multi
 from .metrics import (
@@ -80,7 +76,6 @@ from .metrics import (
     footprint_ratio,
     layer_report,
     param_weighted_cr,
-    weighted_ratio,
 )
 from .model_store import ModelArchive, compress_model, load_archive
 from .multilayer import MultiLayerPlan, optimize_multilayer
@@ -94,7 +89,7 @@ from .provider import (
     WeightProvider,
     provider_for,
 )
-from .quantization import QuantizedTensor, model_footprint, quantize_model, quantize_tensor
+from .quantization import QuantizedTensor, quantize_model, quantize_tensor
 from .segmentation import delta_from_percent, is_weak_monotonic, segment_boundaries
 from .sensitivity import LayerSensitivity, layer_sensitivity, normalized_sensitivity
 
@@ -115,13 +110,8 @@ __all__ = [
     "ModelArchive",
     "compress_model",
     "load_archive",
-    "CompressedStream",
     "StorageFormat",
-    "compress",
-    "compress_percent",
-    "quantize_coefficient",
     "DecodePlan",
-    "DecompressionUnit",
     "DecompressorTiming",
     "WeightStream",
     "WeightCursor",
@@ -131,7 +121,6 @@ __all__ = [
     "provider_for",
     "CompressionReport",
     "layer_report",
-    "weighted_ratio",
     "footprint_ratio",
     "param_weighted_cr",
     "delta_from_percent",
@@ -153,7 +142,6 @@ __all__ = [
     "DeltaRecord",
     "apply_compression",
     "QuantizedTensor",
-    "model_footprint",
     "quantize_model",
     "quantize_tensor",
     "LayerSensitivity",

@@ -10,8 +10,9 @@ attacks the activation half of the traffic of the paper's Fig. 1.
 
 Unlike weights (compressed once, offline), activations are compressed
 on the fly per inference, so the paper's hardware argument (multiplier-
-free decompression, Fig. 6) matters doubly here; the same
-:class:`~repro.core.decompressor.DecompressionUnit` cycle model applies.
+free decompression, Fig. 6) matters doubly here; the same decode-cycle
+model (:meth:`repro.mapping.schedule.CompressionEffect.decompress_cycles`)
+applies.
 
 This module measures, on a trained proxy:
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from ..nn.graph import Model
 from ..nn.train import topk_accuracy
-from .compression import compress_percent
+from .codecs import get_codec
 
 __all__ = [
     "ActivationProfile",
@@ -59,27 +60,22 @@ def activation_cr_profile(
     (tiny vectors carry no stable statistics).
     """
     _, acts = model.forward_traced(x)
+    codec = get_codec("linefit", delta_pct=delta_pct)
     out = []
     for name, arr in acts.items():
         flat = np.asarray(arr, dtype=np.float32).ravel()[:max_values]
         if flat.size < 64:
             continue
-        stream = compress_percent(flat, delta_pct)
+        blob = codec.encode(flat)
         out.append(
             ActivationProfile(
                 layer=name,
                 zero_fraction=float((flat == 0).mean()),
-                cr=stream.compression_ratio,
+                cr=blob.compression_ratio,
                 num_values=int(flat.size),
             )
         )
     return out
-
-
-def _roundtrip(arr: np.ndarray, delta_pct: float) -> np.ndarray:
-    flat = np.asarray(arr, dtype=np.float32).ravel()
-    stream = compress_percent(flat, delta_pct)
-    return stream.decompress().reshape(arr.shape)
 
 
 def evaluate_with_compressed_activations(
@@ -101,13 +97,15 @@ def evaluate_with_compressed_activations(
     always left untouched.
     """
     last = model.node_names[-1]
+    codec = get_codec("linefit", delta_pct=delta_pct)
 
     def transform(name: str, out: np.ndarray) -> np.ndarray:
         if name == last or out.size < 64:
             return out
         if layers is not None and name not in layers:
             return out
-        return _roundtrip(out, delta_pct)
+        blob = codec.encode(np.asarray(out, dtype=np.float32))
+        return codec.decode(blob).reshape(out.shape)
 
     outs = [
         model.forward_transformed(x[start : start + batch_size], transform)

@@ -1,13 +1,15 @@
 """The paper's line-fit compressor behind the :class:`Codec` interface.
 
-``LineFitCodec`` wraps the existing reference implementation —
+``get_codec("linefit", ...)`` is the one public way to compress a
+weight stream.  ``LineFitCodec`` chains the codec's internals —
 weak-monotonic segmentation (:mod:`repro.core.segmentation`), per-segment
-least squares (:mod:`repro.core.linefit`), the storage-format cost model
-(:mod:`repro.core.compression`), the RWCS wire format
-(:mod:`repro.core.codec`) and the accumulator decoder
-(:mod:`repro.core.decompressor`) — without re-implementing any of it, so
-blobs produced here are byte-identical to the pre-registry call sites
-and decode to exactly the weights a streamed provider serves.
+least squares (:mod:`repro.core.linefit`), the parsed ⟨m, q, len⟩ form
+and its storage-format cost model (:mod:`repro.core.compression`), the
+RWCS wire format (:mod:`repro.core.codec`) and the accumulator decoder
+(:mod:`repro.core.decompressor`).  The blob's ``compression_ratio`` and
+:meth:`~repro.core.codecs.Codec.reconstruction_mse` are the one CR and
+MSE formula, and a blob decodes to exactly the weights a streamed
+provider serves.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import codec as wire
-from ..compression import SEGMENTERS, CompressedStream, StorageFormat, compress
+from ..compression import CompressedStream, StorageFormat, compress
 from ..errors import CodecError
 from ..segmentation import delta_from_percent
 from .base import Codec, CompressedBlob, as_stream
@@ -72,54 +74,24 @@ class LineFitCodec(Codec):
         Storage cost model: ``"float32"`` (default, 8 B/segment) or
         ``"int8"`` (6 B/segment, Tab. III), a field dict, or a
         :class:`~repro.core.compression.StorageFormat`.
-    framing:
-        Wire framing: ``"crc"`` (default, the version-3 CRC-framed
-        format) or ``"legacy"`` (the pre-integrity version-2 layout).
-        An ``identical``-class ablation hook — decoded bytes must not
-        depend on the framing, only damage *detection* does.
-    segmenter:
-        Partitioning-rule implementation
-        (:data:`repro.core.compression.SEGMENTERS`): ``"vectorized"``
-        (default) or ``"reference"`` (the sequential greedy scan).
-        Also ``identical``-class: both must produce the same partition.
     """
 
     lossless = False
-
-    _FRAMINGS = ("crc", "legacy")
 
     def __init__(
         self,
         delta_pct: float = 0.0,
         delta: float | None = None,
         fmt="float32",
-        framing: str = "crc",
-        segmenter: str = "vectorized",
     ) -> None:
         self.delta_pct = float(delta_pct)
         self.delta = None if delta is None else float(delta)
         self.fmt, self._fmt_spec = _resolve_fmt(fmt)
-        if framing not in self._FRAMINGS:
-            raise CodecError(
-                f"unknown framing {framing!r}; use {list(self._FRAMINGS)}"
-            )
-        if segmenter not in SEGMENTERS:
-            raise CodecError(
-                f"unknown segmenter {segmenter!r}; use {sorted(SEGMENTERS)}"
-            )
-        self.framing = framing
-        self.segmenter = segmenter
 
     def params(self) -> dict:
         out: dict = {"delta_pct": self.delta_pct, "fmt": self._fmt_spec}
         if self.delta is not None:
             out["delta"] = self.delta
-        # non-default toggles only: existing archives/cache keys keep
-        # their byte-identical params spelling
-        if self.framing != "crc":
-            out["framing"] = self.framing
-        if self.segmenter != "vectorized":
-            out["segmenter"] = self.segmenter
         return out
 
     def _delta_for(self, w: np.ndarray) -> float:
@@ -129,21 +101,15 @@ class LineFitCodec(Codec):
 
     def encode(self, weights: np.ndarray) -> CompressedBlob:
         w = as_stream(weights)
-        stream = compress(
-            w, self._delta_for(w), fmt=self.fmt, segmenter=self.segmenter
-        )
-        return self._blob_from_stream(stream, str(w.dtype))
-
-    def _blob_from_stream(self, stream: CompressedStream, dtype: str) -> CompressedBlob:
-        pack = wire.encode if self.framing == "crc" else wire.encode_legacy
+        stream = compress(w, self._delta_for(w), fmt=self.fmt)
         return CompressedBlob(
             codec=self.name,
             params=self.params(),
-            payload=pack(stream),
+            payload=wire.encode(stream),
             meta={
                 "num_segments": stream.num_segments,
                 "num_weights": stream.num_weights,
-                "dtype": dtype,
+                "dtype": str(w.dtype),
             },
             original_bytes=stream.original_bytes,
             compressed_bytes=stream.compressed_bytes,

@@ -1,11 +1,16 @@
 """Lossy compression of CNN parameters (Sec. III-B of the paper).
 
-The public entry points are :func:`compress` (one stream), and the
-:class:`CompressedStream` container it returns, which knows how to
-decompress itself (through the accumulator kernel of
-:mod:`repro.core.decompressor`), measure its footprint and report the
-metrics used throughout the paper's evaluation (compression ratio,
-memory footprint reduction, MSE).
+The line-fit codec's internals: :func:`compress` segments one stream
+and fits its lines, and the :class:`CompressedStream` it returns is the
+parsed ⟨m, q, len⟩ form that the wire format (:mod:`repro.core.codec`)
+packs and parses and the accumulator kernel
+(:mod:`repro.core.decompressor`) regenerates.  :class:`StorageFormat`
+is the byte-cost model of that form.
+
+Callers outside the codec compress through
+``get_codec("linefit", ...)``: its :class:`~repro.core.codecs.
+CompressedBlob` carries the compression ratio, and
+:meth:`~repro.core.codecs.Codec.reconstruction_mse` the MSE.
 
 A *stream* here is the natural C-order serialization of one layer's
 weight tensor.  Compressing a whole model layer-by-layer is handled by
@@ -19,18 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linefit import fit_segments
-from .segmentation import (
-    delta_from_percent,
-    segment_boundaries,
-    segment_greedy_reference,
-)
+from .segmentation import segment_boundaries
 
 __all__ = [
     "StorageFormat",
     "CompressedStream",
-    "SEGMENTERS",
     "compress",
-    "compress_percent",
     "quantize_coefficient",
 ]
 
@@ -138,10 +137,6 @@ class CompressedStream:
     delta: float
     fmt: StorageFormat = field(default_factory=StorageFormat)
 
-    #: a parsed line-fit stream decodes incrementally, tile by tile
-    #: (:class:`~repro.core.decompressor.WeightStream`)
-    streaming = True
-
     def __post_init__(self) -> None:
         if not (self.m.shape == self.q.shape == self.lengths.shape):
             raise ValueError("m, q and lengths must have identical shapes")
@@ -165,13 +160,6 @@ class CompressedStream:
     def compressed_bytes(self) -> int:
         return self.num_segments * self.fmt.segment_bytes
 
-    @property
-    def compression_ratio(self) -> float:
-        """CR = uncompressed bytes / compressed bytes (paper Tab. II)."""
-        if self.compressed_bytes == 0:
-            return float("inf") if self.original_bytes else 1.0
-        return self.original_bytes / self.compressed_bytes
-
     # -- reconstruction --------------------------------------------------
     def storage_coefficients(self) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients rounded to the precision actually stored."""
@@ -192,62 +180,24 @@ class CompressedStream:
 
         return WeightStream(DecodePlan(self, dtype)).read(self.num_weights)
 
-    def mse(self, original: np.ndarray) -> float:
-        """Mean squared error of the float32 decode vs. the original
-        stream (paper Tab. II)."""
-        w = np.asarray(original, dtype=np.float64).ravel()
-        if w.size != self.num_weights:
-            raise ValueError(
-                f"original has {w.size} weights, stream encodes {self.num_weights}"
-            )
-        diff = self.decompress() - w
-        return float(np.mean(diff * diff)) if w.size else 0.0
-
-
-#: partitioning-rule implementations selectable by ``compress(segmenter=)``
-#: — an ``identical``-class ablation point: the vectorized partition must
-#: be boundary-identical to the sequential greedy reference
-SEGMENTERS = {
-    "vectorized": segment_boundaries,
-    "reference": segment_greedy_reference,
-}
-
 
 def compress(
     weights: np.ndarray,
     delta: float,
     fmt: StorageFormat | None = None,
-    segmenter: str = "vectorized",
 ) -> CompressedStream:
     """Compress a weight stream with absolute tolerance ``delta``.
 
     Implements the full Sec. III-B flow: weak-monotonic greedy
     segmentation, per-segment least-squares line fit, and the
-    three-field-per-segment storage model.  ``segmenter`` selects the
-    partitioning-rule implementation (see :data:`SEGMENTERS`).
+    three-field-per-segment storage model.
     """
     fmt = fmt or StorageFormat()
-    try:
-        segment = SEGMENTERS[segmenter]
-    except KeyError:
-        raise ValueError(
-            f"unknown segmenter {segmenter!r}; use {sorted(SEGMENTERS)}"
-        ) from None
     w = np.asarray(weights).ravel()
     if w.size and not np.isfinite(w).all():
         raise ValueError("weight stream contains non-finite values")
-    boundaries = segment(w, delta)
+    boundaries = segment_boundaries(w, delta)
     boundaries = _split_long_segments(boundaries, fmt.max_segment_length)
     m, q = fit_segments(w, boundaries)
     lengths = np.diff(boundaries)
     return CompressedStream(m=m, q=q, lengths=lengths, delta=float(delta), fmt=fmt)
-
-
-def compress_percent(
-    weights: np.ndarray,
-    delta_pct: float,
-    fmt: StorageFormat | None = None,
-) -> CompressedStream:
-    """Compress with the paper's percentage tolerance convention."""
-    w = np.asarray(weights).ravel()
-    return compress(w, delta_from_percent(w, delta_pct), fmt=fmt)

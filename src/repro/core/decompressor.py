@@ -60,7 +60,6 @@ from .compression import CompressedStream
 
 __all__ = [
     "DecompressorTiming",
-    "DecompressionUnit",
     "DecodePlan",
     "WeightStream",
 ]
@@ -253,29 +252,3 @@ class WeightStream:
         self._carry_off += n
         self._pos += n
         return out
-
-
-@dataclass
-class DecompressionUnit:
-    """Timing/energy facade used by the PE model.
-
-    The unit streams segment descriptors from the PE's local memory and
-    emits one approximated weight per cycle after a per-segment init
-    penalty.  :meth:`cycles` is what the NoC/PE simulator charges for
-    decompressing a whole layer tile.
-    """
-
-    timing: DecompressorTiming = DecompressorTiming()
-
-    def cycles(self, stream: CompressedStream) -> int:
-        """Total cycles to emit every weight of ``stream``."""
-        t = self.timing
-        return int(
-            stream.num_segments * t.init_cycles
-            + stream.num_weights * t.run_cycles_per_weight
-        )
-
-    def cycles_for(self, num_weights: int, num_segments: int) -> int:
-        """Cycle cost from aggregate counts (transaction-level model)."""
-        t = self.timing
-        return int(num_segments * t.init_cycles + num_weights * t.run_cycles_per_weight)

@@ -25,14 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .compression import CompressedStream
+from .codecs import CompressedBlob
 
 __all__ = [
     "CompressionReport",
     "layer_report",
-    "weighted_ratio",
     "footprint_ratio",
     "param_weighted_cr",
 ]
@@ -83,10 +80,6 @@ def footprint_ratio(
     return original / compressed
 
 
-#: backwards-compatible alias (the original name of footprint_ratio)
-weighted_ratio = footprint_ratio
-
-
 def param_weighted_cr(
     total_params: int, compressed_layer_params: int, layer_cr: float
 ) -> float:
@@ -100,23 +93,25 @@ def param_weighted_cr(
 
 
 def layer_report(
-    stream: CompressedStream,
-    original_layer: np.ndarray,
+    blob: CompressedBlob,
+    mse: float,
     total_params: int,
     delta_pct: float,
 ) -> CompressionReport:
-    """Assemble the Tab. II row for one compressed layer."""
-    cr = stream.compression_ratio
-    fp_ratio = footprint_ratio(
-        total_params,
-        stream.num_weights,
-        cr,
-        weight_bytes=stream.fmt.weight_bytes,
-    )
+    """Assemble the Tab. II row for one compressed layer.
+
+    ``blob`` is the layer's codec output (its CR and weight count);
+    ``mse`` its :meth:`~repro.core.codecs.Codec.reconstruction_mse`.
+    """
+    cr = blob.compression_ratio
+    layer_params = blob.num_weights
+    # weight_bytes scales both sides of the ratio by a power of two: the
+    # default gives the same bits for float32 and int8 streams alike
+    fp_ratio = footprint_ratio(total_params, layer_params, cr)
     return CompressionReport(
         delta_pct=delta_pct,
         cr=cr,
-        weighted_cr=param_weighted_cr(total_params, stream.num_weights, cr),
+        weighted_cr=param_weighted_cr(total_params, layer_params, cr),
         mem_fp_reduction=1.0 - 1.0 / fp_ratio,
-        mse=stream.mse(original_layer),
+        mse=mse,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["QuantizedTensor", "quantize_tensor", "quantize_model", "model_footprint"]
+__all__ = ["QuantizedTensor", "quantize_tensor", "quantize_model"]
 
 _QMIN, _QMAX = -128, 127
 
@@ -85,20 +85,3 @@ def quantize_model(model) -> dict[str, QuantizedTensor]:
         name: quantize_tensor(layer.params()[0].data)
         for name, layer in model.parametric_layers()
     }
-
-
-def model_footprint(
-    total_params: int,
-    quantized: dict[str, QuantizedTensor] | None = None,
-    float_bytes: int = 4,
-) -> int:
-    """Model parameter footprint in bytes.
-
-    With ``quantized`` given, quantized tensors cost 1 byte per weight
-    (plus per-tensor metadata) and the remaining parameters stay float.
-    """
-    if quantized is None:
-        return total_params * float_bytes
-    q_params = sum(q.num_params for q in quantized.values())
-    q_bytes = sum(q.footprint_bytes for q in quantized.values())
-    return (total_params - q_params) * float_bytes + q_bytes

@@ -158,8 +158,9 @@ def segment_boundaries(weights: np.ndarray, delta: float) -> np.ndarray:
 def segment_greedy_reference(weights: np.ndarray, delta: float) -> np.ndarray:
     """Sequential reference implementation of :func:`segment_boundaries`.
 
-    Kept deliberately naive; used in tests to validate the vectorized
-    kernel on random and adversarial streams.
+    Kept deliberately naive; the tests and the ablation harness's
+    ``core.segmenter`` row check the vectorized kernel against it on
+    random and adversarial streams.
     """
     w = np.asarray(weights, dtype=np.float64).ravel()
     n = w.size

@@ -1,12 +1,11 @@
 """CACTI-style energy/timing models and accounting (see DESIGN.md)."""
 
-from .cacti import SramEstimate, estimate_dram_energy_per_byte, estimate_sram
+from .cacti import SramEstimate, estimate_sram
 from .model import COMPONENTS, EnergyAccount, EnergyBreakdown
 from .params import CLOCK_HZ, EnergyParams
 
 __all__ = [
     "SramEstimate",
-    "estimate_dram_energy_per_byte",
     "estimate_sram",
     "COMPONENTS",
     "EnergyAccount",

@@ -1,4 +1,4 @@
-"""CACTI-like analytical SRAM/DRAM estimator.
+"""CACTI-like analytical SRAM estimator.
 
 The paper uses CACTI [20] to obtain energy (dynamic + leakage) and
 timing for the local and main memories.  This module reproduces the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SramEstimate", "estimate_sram", "estimate_dram_energy_per_byte"]
+__all__ = ["SramEstimate", "estimate_sram"]
 
 _ANCHOR_BYTES = 8 * 1024
 _ANCHOR_ENERGY_PER_BYTE = 1.0e-12
@@ -57,19 +57,3 @@ def estimate_sram(capacity_bytes: int) -> SramEstimate:
         + (_ANCHOR_LATENCY_S - _DECODER_LATENCY_S) * side,
         leakage_w=_ANCHOR_LEAKAGE_W * ratio,
     )
-
-
-def estimate_dram_energy_per_byte(
-    row_hit_rate: float = 0.5,
-    row_hit_energy: float = 15.0e-12,
-    row_miss_energy: float = 85.0e-12,
-) -> float:
-    """Effective main-memory energy per byte given a row-buffer hit rate.
-
-    CNN parameter fetches are long sequential streams, so the default
-    50/50 mix lands on the standard ~50 pJ/byte LPDDR figure the default
-    :class:`repro.energy.params.EnergyParams` uses.
-    """
-    if not 0.0 <= row_hit_rate <= 1.0:
-        raise ValueError("row_hit_rate must be in [0, 1]")
-    return row_hit_rate * row_hit_energy + (1.0 - row_hit_rate) * row_miss_energy

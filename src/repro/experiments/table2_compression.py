@@ -25,7 +25,7 @@ import numpy as np
 
 from ..analysis.report import render_table
 from ..core.codecs import get_codec
-from ..core.compression import StorageFormat, compress
+from ..core.compression import StorageFormat
 from ..core.metrics import CompressionReport, layer_report
 from ..core.segmentation import delta_from_percent
 from ..nn import zoo
@@ -136,9 +136,15 @@ def _tab2_report(
     spec, weights, stream = _layer_stream(module, seed, fast)
     total_params = spec.total_params
     layer_params = weights.size
-    delta = delta_from_percent(weights, pct)  # range of the FULL stream
-    cs = compress(stream, delta)
-    report = layer_report(cs, stream, total_params=total_params, delta_pct=pct)
+    # the tolerance comes from the range of the FULL stream
+    codec = get_codec("linefit", delta=delta_from_percent(weights, pct))
+    blob = codec.encode(stream)
+    report = layer_report(
+        blob,
+        codec.reconstruction_mse(blob, stream),
+        total_params=total_params,
+        delta_pct=pct,
+    )
     if stream.size != layer_params:
         # rescale the whole-model figures for the sliced evaluation
         from ..core.metrics import footprint_ratio, param_weighted_cr

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.codecs import CompressedBlob
-from ..core.compression import CompressedStream
 from ..core.provider import WeightProvider
 from ..energy.model import EnergyAccount, EnergyBreakdown
 from ..energy.params import EnergyParams
@@ -275,10 +274,7 @@ class Accelerator:
     def run_model(
         self,
         spec: ArchSpec,
-        compression: dict[
-            str,
-            CompressionEffect | CompressedBlob | CompressedStream | WeightProvider,
-        ]
+        compression: dict[str, CompressionEffect | CompressedBlob | WeightProvider]
         | None = None,
         mode: str = "txn",
         weight_bytes_per_word: int = 4,
@@ -287,8 +283,7 @@ class Accelerator:
         """Run every traffic-bearing layer of a network.
 
         ``compression`` maps layer names to their compression effects;
-        entries may also be :class:`~repro.core.codecs.CompressedBlob`,
-        :class:`~repro.core.compression.CompressedStream` or
+        entries may also be :class:`~repro.core.codecs.CompressedBlob` or
         :class:`~repro.core.provider.WeightProvider` values, which are
         normalized through :meth:`compression_effect` — so the output of
         *any* registered codec plugs in directly, and providers flow to
@@ -319,11 +314,11 @@ class Accelerator:
 
     def compression_effect(
         self,
-        source: CompressedBlob | CompressedStream | WeightProvider,
+        source: CompressedBlob | WeightProvider,
         units_per_pe: int | None = None,
         streamed: bool | None = None,
     ) -> CompressionEffect:
-        """Effect of compressed weights: a blob, a line-fit stream or a provider.
+        """Effect of compressed weights: any codec's blob or a provider.
 
         Reads the source's ``compression_ratio`` and ``num_segments``
         (lossless codecs report no segments: a volume-only change), never

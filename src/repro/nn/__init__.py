@@ -3,7 +3,7 @@
 from . import layers
 from .graph import Model
 from .losses import SoftmaxCrossEntropy
-from .optim import SGD, StepLR
+from .optim import SGD
 from .sequential import Sequential
 from .train import EvalResult, TrainConfig, evaluate, topk_accuracy, train
 
@@ -13,7 +13,6 @@ __all__ = [
     "Sequential",
     "SoftmaxCrossEntropy",
     "SGD",
-    "StepLR",
     "EvalResult",
     "TrainConfig",
     "evaluate",

@@ -167,20 +167,44 @@ class Model:
         ps[0].data = np.asarray(weights, dtype=np.float32)
 
     # -- execution ---------------------------------------------------------
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _walk(
+        self,
+        x: np.ndarray,
+        training: bool = False,
+        weight_providers: dict | None = None,
+        transform=None,
+    ) -> dict[str, np.ndarray]:
+        """The one topological node loop behind every forward.
+
+        Returns every node's activation by name (plus the input under
+        :data:`INPUT`).  ``weight_providers`` feeds the named nodes their
+        weights through the fused streamed path (the keyword is passed
+        only to those nodes); ``transform(name, out)`` replaces each
+        node's output before it feeds downstream nodes.
+        """
         acts: dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=np.float32)}
         for name in self._order:
             node = self._nodes[name]
             layer = node.layer
+            provider = weight_providers.get(name) if weight_providers else None
             if training and getattr(layer, "is_output_activation", False):
                 # softmax is fused into the loss during training
-                acts[name] = acts[node.inputs[0]]
-                continue
-            if isinstance(layer, MergeLayer):
+                out = acts[node.inputs[0]]
+            elif isinstance(layer, MergeLayer):
+                if provider is not None:
+                    raise ValueError(f"merge layer {name!r} takes no weights")
                 out = layer.forward([acts[i] for i in node.inputs], training=training)
+            elif provider is not None:
+                out = layer.forward(
+                    acts[node.inputs[0]], training=training, weight_provider=provider
+                )
             else:
                 out = layer.forward(acts[node.inputs[0]], training=training)
-            acts[name] = out
+            acts[name] = out if transform is None else transform(name, out)
+        return acts
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        acts = self._walk(x, training=training)
         self._acts = acts if training else None
         return acts[self._order[-1]]
 
@@ -225,22 +249,7 @@ class Model:
             raise ValueError(
                 f"weight providers for unknown nodes: {sorted(unknown)}"
             )
-        acts: dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=np.float32)}
-        for name in self._order:
-            node = self._nodes[name]
-            layer = node.layer
-            provider = weight_providers.get(name)
-            if isinstance(layer, MergeLayer):
-                if provider is not None:
-                    raise ValueError(f"merge layer {name!r} takes no weights")
-                acts[name] = layer.forward([acts[i] for i in node.inputs])
-            elif provider is not None:
-                acts[name] = layer.forward(
-                    acts[node.inputs[0]], weight_provider=provider
-                )
-            else:
-                acts[name] = layer.forward(acts[node.inputs[0]])
-        return acts[self._order[-1]]
+        return self._walk(x, weight_providers=weight_providers)[self._order[-1]]
 
     def forward_traced(
         self, x: np.ndarray
@@ -250,15 +259,8 @@ class Model:
         Used by the activation-compression analysis; unlike the
         training-mode cache this returns a plain name->array mapping.
         """
-        acts: dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=np.float32)}
-        for name in self._order:
-            node = self._nodes[name]
-            layer = node.layer
-            if isinstance(layer, MergeLayer):
-                acts[name] = layer.forward([acts[i] for i in node.inputs])
-            else:
-                acts[name] = layer.forward(acts[node.inputs[0]])
-        out = acts.pop(INPUT)  # callers index by node name only
+        acts = self._walk(x)
+        del acts[INPUT]  # callers index by node name only
         return acts[self._order[-1]], acts
 
     def forward_transformed(
@@ -270,16 +272,7 @@ class Model:
         This is how approximate-activation studies inject lossy
         activation codecs into inference without touching the layers.
         """
-        acts: dict[str, np.ndarray] = {INPUT: np.asarray(x, dtype=np.float32)}
-        for name in self._order:
-            node = self._nodes[name]
-            layer = node.layer
-            if isinstance(layer, MergeLayer):
-                out = layer.forward([acts[i] for i in node.inputs])
-            else:
-                out = layer.forward(acts[node.inputs[0]])
-            acts[name] = transform(name, out)
-        return acts[self._order[-1]]
+        return self._walk(x, transform=transform)[self._order[-1]]
 
     def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Batched inference."""

@@ -3,7 +3,7 @@
 Two distinct needs:
 
 * **Training proxies** use the classical fan-based initializers
-  (:func:`glorot_uniform`, :func:`he_normal`, :func:`lecun_normal`).
+  (:func:`glorot_uniform`, :func:`he_normal`).
 
 * **Full-scale paper models** are never trained here (no ImageNet, no
   GPU); their weights are *sampled* to match the statistics of trained
@@ -24,7 +24,6 @@ __all__ = [
     "fans",
     "glorot_uniform",
     "he_normal",
-    "lecun_normal",
     "trained_like",
 ]
 
@@ -48,12 +47,6 @@ def glorot_uniform(shape, rng: np.random.Generator) -> np.ndarray:
 def he_normal(shape, rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = fans(tuple(shape))
     std = np.sqrt(2.0 / fan_in)
-    return (rng.normal(0.0, std, size=shape)).astype(np.float32)
-
-
-def lecun_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = fans(tuple(shape))
-    std = np.sqrt(1.0 / fan_in)
     return (rng.normal(0.0, std, size=shape)).astype(np.float32)
 
 

@@ -6,7 +6,7 @@ from .conv import Conv2D, DepthwiseConv2D
 from .dense import Dense
 from .dropout import Dropout
 from .norm import BatchNorm2D
-from .pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from .pool import GlobalAvgPool2D, MaxPool2D
 from .shape import Add, Concat, Flatten
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "Conv2D",
     "DepthwiseConv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "GlobalAvgPool2D",
     "BatchNorm2D",
     "ReLU",

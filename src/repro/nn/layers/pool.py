@@ -1,4 +1,4 @@
-"""Pooling layers: max, average and global average."""
+"""Pooling layers: max and global average."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from ..tensor import conv_out_size, im2col
 from .base import Layer
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D", "GlobalAvgPool2D"]
 
 
 class _Pool2D(Layer):
@@ -51,31 +51,6 @@ class MaxPool2D(_Pool2D):
         ow = conv_out_size(w, k, s, 0)
         dcols = np.zeros((n * c * oh * ow, k * k), dtype=grad.dtype)
         dcols[np.arange(dcols.shape[0]), idx] = grad.ravel()
-        from ..tensor import col2im
-
-        dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)
-        return dx.reshape(n, c, h, w)
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling; backward spreads gradients uniformly."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        cols, n, c, oh, ow = self._windows(x)
-        out = cols.mean(axis=1)
-        if training:
-            self._cache = (x.shape,)
-        return out.reshape(n, c, oh, ow)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before a training forward pass")
-        (x_shape,) = self._cache
-        n, c, h, w = x_shape
-        k, s = self.pool_size, self.stride
-        oh = conv_out_size(h, k, s, 0)
-        ow = conv_out_size(w, k, s, 0)
-        dcols = np.repeat(grad.reshape(-1, 1) / (k * k), k * k, axis=1)
         from ..tensor import col2im
 
         dx = col2im(dcols, (n * c, 1, h, w), k, k, s, 0)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .layers.base import Parameter
 
-__all__ = ["SGD", "StepLR"]
+__all__ = ["SGD"]
 
 
 class SGD:
@@ -44,18 +44,3 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-class StepLR:
-    """Multiply the optimizer LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1) -> None:
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._epoch = 0
-
-    def step(self) -> None:
-        self._epoch += 1
-        if self._epoch % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

@@ -14,7 +14,7 @@ from .nic import NetworkInterface
 from .pe import PEConfig, PETask, ProcessingElement
 from .router import Router
 from .simulator import Node, NocSimulator, NocStats
-from .topology import ChipletMesh, build_mesh
+from .topology import ChipletMesh
 
 __all__ = [
     "FLIT_BYTES",
@@ -36,5 +36,4 @@ __all__ = [
     "NocSimulator",
     "NocStats",
     "ChipletMesh",
-    "build_mesh",
 ]

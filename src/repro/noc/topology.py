@@ -4,8 +4,7 @@ The scenario matrix asks whether the compression win survives when the
 NoC itself becomes the bottleneck.  Two knobs scale the substrate:
 
 * **bigger meshes** — plain :class:`~repro.noc.mesh.Mesh` already takes
-  arbitrary ``width x height``; :func:`build_mesh` names the common
-  sizes so experiments and configs can refer to topologies by string.
+  arbitrary ``width x height``.
 * **chiplet packages** — :class:`ChipletMesh` models a Simba-like
   multi-chiplet platform (the paper's own reference platform is a
   36-chiplet package): a ``chiplets_x x chiplets_y`` grid of
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from .mesh import OPPOSITE, Mesh
 
-__all__ = ["ChipletMesh", "build_mesh", "TOPOLOGIES"]
+__all__ = ["ChipletMesh"]
 
 
 class ChipletMesh(Mesh):
@@ -100,25 +99,3 @@ class ChipletMesh(Mesh):
                 ) != self.chiplet_of(neighbor):
                     links.append((node, neighbor))
         return links
-
-
-#: named topology constructors for configs/CLIs (kwargs: buffer_depth,
-#: pipeline_depth, routing, num_vcs — forwarded verbatim)
-TOPOLOGIES = {
-    "mesh-4x4": lambda **kw: Mesh(4, 4, **kw),
-    "mesh-8x8": lambda **kw: Mesh(8, 8, **kw),
-    "mesh-16x16": lambda **kw: Mesh(16, 16, **kw),
-    "chiplet-2x2": lambda **kw: ChipletMesh(2, 2, 4, 4, **kw),
-    "chiplet-3x3": lambda **kw: ChipletMesh(3, 3, 4, 4, **kw),
-}
-
-
-def build_mesh(topology: str, **kwargs) -> Mesh:
-    """Construct a named topology (see :data:`TOPOLOGIES`)."""
-    try:
-        factory = TOPOLOGIES[topology]
-    except KeyError:
-        raise ValueError(
-            f"unknown topology {topology!r}; use one of {sorted(TOPOLOGIES)}"
-        ) from None
-    return factory(**kwargs)

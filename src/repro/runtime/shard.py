@@ -466,19 +466,38 @@ def assemble(
     the cache and transparently re-executed in-process — the
     reconciliation path that keeps the final list complete even after
     on-disk damage.
+
+    The read-back counts a hit only for a task whose shard this call
+    did not run: a folded marker already counted its tasks as run or
+    hit.  A re-execution always counts as run.  So ``tasks_run +
+    cache_hits == tasks``, as for an unsharded :func:`run_tasks`.
     """
     o = obs.current()
+    ours: set[int] = set()
     for shard in range(num_shards):
         marker = store.read_done(shard)
         if marker is None or marker.get("call") != call:
             continue  # unreadable, or another run's work
         o.adopt(marker["obs"], tid=shard + 1, track_name=f"shard {shard}")
+        ours.update(range(*marker["range"]))
         for name, value in marker["timings"].items():
             # the assembly pass below counts every task exactly once,
             # and run_sharded times the whole call
             if name not in ("tasks", "wall_seconds"):
                 metrics.counter(name).add(value)
-    return run_tasks(tasks, jobs=1, cache=cache, metrics=metrics, policy=policy)
+    results: list = [None] * len(tasks)
+    for own in (True, False):
+        index = [i for i in range(len(tasks)) if (i in ours) is own]
+        local = MetricsRegistry()
+        got = run_tasks(
+            [tasks[i] for i in index], jobs=1, cache=cache, metrics=local, policy=policy
+        )
+        for i, result in zip(index, got):
+            results[i] = result
+        for row in local.snapshot():
+            if not (own and row["name"] == "cache_hits"):
+                metrics.counter(row["name"]).add(row["value"])
+    return results
 
 
 def run_sharded(

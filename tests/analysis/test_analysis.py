@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.breakdown import LayerBars, normalize_series
+from repro.analysis.breakdown import LayerBars
 from repro.analysis.entropy import byte_entropy, english_like_text, random_bytes
 from repro.analysis.report import render_bars, render_table
 
@@ -44,19 +44,6 @@ class TestBreakdownHelpers:
     def test_layer_bars_total(self):
         b = LayerBars(label="x", parts={"a": 1.0, "b": 2.0})
         assert b.total == 3.0
-
-    def test_normalize_series(self):
-        assert normalize_series([4.0, 2.0, 1.0]) == [1.0, 0.5, 0.25]
-
-    def test_normalize_with_baseline(self):
-        assert normalize_series([2.0], baseline=4.0) == [0.5]
-
-    def test_normalize_zero_baseline(self):
-        with pytest.raises(ValueError):
-            normalize_series([0.0, 1.0])
-
-    def test_empty_series(self):
-        assert normalize_series([]) == []
 
 
 class TestRendering:

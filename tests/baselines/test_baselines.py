@@ -146,8 +146,8 @@ class TestPaperClaim:
         assert lz_ratio(weight_bytes) < 1.05
 
     def test_proposed_lossy_compressor_succeeds(self, weight_bytes):
-        from repro.core import compress_percent
+        from repro.core import get_codec
         from repro.nn import zoo
 
         w = zoo.lenet5.full().materialize("dense_1").ravel()
-        assert compress_percent(w, 15.0).compression_ratio > 2.0
+        assert get_codec("linefit", delta_pct=15.0).encode(w).compression_ratio > 2.0

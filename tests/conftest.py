@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.compression import compress
+from repro.core.segmentation import delta_from_percent
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
@@ -31,3 +34,13 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     """Max absolute error normalized by the max magnitude of ``b``."""
     denom = np.abs(b).max() + 1e-12
     return float(np.abs(np.asarray(a) - np.asarray(b)).max() / denom)
+
+
+def compress_pct(weights, delta_pct: float, fmt=None):
+    """The line-fit codec's parsed stream at a percentage tolerance.
+
+    For tests of the codec internals (wire format, decoder); everything
+    else compresses through ``get_codec("linefit", delta_pct=...)``.
+    """
+    w = np.asarray(weights).ravel()
+    return compress(w, delta_from_percent(w, delta_pct), fmt=fmt)

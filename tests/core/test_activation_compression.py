@@ -9,7 +9,7 @@ from repro.core.activation_compression import (
     activation_cr_profile,
     evaluate_with_compressed_activations,
 )
-from repro.core.compression import compress_percent
+from repro.core.codecs import get_codec
 from repro.datasets import train_test
 from repro.nn import TrainConfig, evaluate, train
 from repro.nn.zoo import lenet5
@@ -47,9 +47,8 @@ class TestActivationProfile:
         relu = by_name["relu_1"]
         assert relu.zero_fraction > 0.2
         # activations compress better than a weight-like Gaussian stream
-        gauss = compress_percent(
-            np.random.default_rng(0).normal(size=relu.num_values).astype(np.float32),
-            5.0,
+        gauss = get_codec("linefit", delta_pct=5.0).encode(
+            np.random.default_rng(0).normal(size=relu.num_values).astype(np.float32)
         ).compression_ratio
         assert relu.cr > gauss
 

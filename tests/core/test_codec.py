@@ -7,14 +7,15 @@ import pytest
 
 from repro.core import codec
 from repro.core.codec import CodecError, IntegrityError
-from repro.core.compression import StorageFormat, compress_percent
+from repro.core.compression import StorageFormat
+from tests.conftest import compress_pct
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("delta_pct", [0.0, 10.0, 25.0])
     def test_float32_roundtrip(self, rng, delta_pct):
         w = rng.normal(size=5000).astype(np.float32)
-        stream = compress_percent(w, delta_pct)
+        stream = compress_pct(w, delta_pct)
         back = codec.decode(codec.encode(stream))
         mq, qq = stream.storage_coefficients()
         np.testing.assert_array_equal(back.m, mq)
@@ -25,7 +26,7 @@ class TestRoundTrip:
 
     def test_int8_roundtrip(self, rng):
         w = rng.integers(-128, 128, size=3000).astype(np.float32)
-        stream = compress_percent(w, 5.0, fmt=StorageFormat.int8())
+        stream = compress_pct(w, 5.0, fmt=StorageFormat.int8())
         back = codec.decode(codec.encode(stream))
         mq, qq = stream.storage_coefficients()
         np.testing.assert_array_equal(back.m, mq)
@@ -34,13 +35,13 @@ class TestRoundTrip:
 
     def test_decompression_identical_after_roundtrip(self, rng):
         w = rng.normal(size=2000).astype(np.float32)
-        stream = compress_percent(w, 12.0)
+        stream = compress_pct(w, 12.0)
         back = codec.decode(codec.encode(stream))
         np.testing.assert_array_equal(back.decompress(), stream.decompress())
 
     def test_blob_size_is_header_plus_segments_plus_trailer(self, rng):
         w = rng.normal(size=1000).astype(np.float32)
-        stream = compress_percent(w, 0.0)
+        stream = compress_pct(w, 0.0)
         blob = codec.encode(stream)
         assert len(blob) == (
             codec.HEADER_BYTES
@@ -50,13 +51,13 @@ class TestRoundTrip:
 
     def test_legacy_blob_size_is_header_plus_segments(self, rng):
         w = rng.normal(size=1000).astype(np.float32)
-        stream = compress_percent(w, 0.0)
+        stream = compress_pct(w, 0.0)
         blob = codec.encode_legacy(stream)
         assert len(blob) == codec.LEGACY_HEADER_BYTES + stream.compressed_bytes
 
     def test_legacy_v2_messages_still_decode(self, rng):
         w = rng.normal(size=2000).astype(np.float32)
-        stream = compress_percent(w, 10.0)
+        stream = compress_pct(w, 10.0)
         back = codec.decode(codec.encode_legacy(stream))
         np.testing.assert_array_equal(back.decompress(), stream.decompress())
         assert back.delta == stream.delta
@@ -76,7 +77,7 @@ class TestRoundTrip:
             StorageFormat(4, 2, 3, 2),  # asymmetric widths
             StorageFormat(1, 3, 3, 2),  # int8 class, non-default widths
         ):
-            stream = compress_percent(w, 8.0, fmt=fmt)
+            stream = compress_pct(w, 8.0, fmt=fmt)
             for blob in (codec.encode(stream), codec.encode_legacy(stream)):
                 back = codec.decode(blob, expected_weights=w.size)
                 assert back.fmt == fmt
@@ -90,8 +91,8 @@ class TestRoundTrip:
         width code 0 means "class default", so the flags byte is still
         bare 0x00 / 0x01 and pre-fix readers parse them unchanged."""
         w = rng.normal(size=500).astype(np.float32)
-        assert codec.encode(compress_percent(w, 5.0))[5] == 0x00
-        q = compress_percent(w, 5.0, fmt=StorageFormat.int8())
+        assert codec.encode(compress_pct(w, 5.0))[5] == 0x00
+        q = compress_pct(w, 5.0, fmt=StorageFormat.int8())
         assert codec.encode(q)[5] == 0x01
 
     def test_unrepresentable_format_fails_at_encode(self, rng):
@@ -103,14 +104,14 @@ class TestRoundTrip:
             (StorageFormat(4, 3, 1, 2), "intercept"),
             (StorageFormat(4, 3, 3, 4), "length"),
         ):
-            stream = compress_percent(w, 5.0, fmt=fmt)
+            stream = compress_pct(w, 5.0, fmt=fmt)
             with pytest.raises(CodecError, match=match):
                 codec.encode(stream)
             with pytest.raises(CodecError, match=match):
                 codec.encode_legacy(stream)
 
     def test_empty_stream(self):
-        stream = compress_percent(np.array([], dtype=np.float32), 0.0)
+        stream = compress_pct(np.array([], dtype=np.float32), 0.0)
         back = codec.decode(codec.encode(stream))
         assert back.num_segments == 0
 
@@ -121,18 +122,18 @@ class TestErrors:
             codec.decode(b"RW")
 
     def test_bad_magic(self, rng):
-        blob = bytearray(codec.encode(compress_percent(rng.normal(size=10), 0.0)))
+        blob = bytearray(codec.encode(compress_pct(rng.normal(size=10), 0.0)))
         blob[0] = ord("X")
         with pytest.raises(ValueError, match="magic"):
             codec.decode(bytes(blob))
 
     def test_truncated_body(self, rng):
-        blob = codec.encode(compress_percent(rng.normal(size=100), 0.0))
+        blob = codec.encode(compress_pct(rng.normal(size=100), 0.0))
         with pytest.raises(ValueError, match="size mismatch"):
             codec.decode(blob[:-3])
 
     def test_bad_version(self, rng):
-        blob = bytearray(codec.encode(compress_percent(rng.normal(size=10), 0.0)))
+        blob = bytearray(codec.encode(compress_pct(rng.normal(size=10), 0.0)))
         blob[4] = 99
         with pytest.raises(ValueError, match="version"):
             codec.decode(bytes(blob))
@@ -146,7 +147,7 @@ class TestCodecErrorType:
     """
 
     def _blob(self, rng, n=100) -> bytearray:
-        return bytearray(codec.encode(compress_percent(rng.normal(size=n), 0.0)))
+        return bytearray(codec.encode(compress_pct(rng.normal(size=n), 0.0)))
 
     def test_is_value_error_subclass(self):
         assert issubclass(CodecError, ValueError)
@@ -192,7 +193,7 @@ class TestIntegrityFraming:
     """Version-3 CRC framing: detection, localization, lenient parsing."""
 
     def _stream(self, rng, n=400, pct=5.0):
-        return compress_percent(rng.normal(size=n).astype(np.float32), pct)
+        return compress_pct(rng.normal(size=n).astype(np.float32), pct)
 
     def test_every_single_bit_flip_is_detected(self, rng):
         stream = self._stream(rng, n=50, pct=0.0)
@@ -263,7 +264,7 @@ class TestBoundsValidation:
     """Strict validation of decoded (m, q, len) triples."""
 
     def test_overrun_names_the_offending_segment(self, rng):
-        stream = compress_percent(rng.normal(size=500).astype(np.float32), 5.0)
+        stream = compress_pct(rng.normal(size=500).astype(np.float32), 5.0)
         blob = codec.encode(stream)
         declared = int(stream.lengths.sum()) - 1  # one weight short
         with pytest.raises(CodecError, match=r"segment \d+ overruns") as exc:
@@ -271,21 +272,21 @@ class TestBoundsValidation:
         assert str(declared) in str(exc.value)
 
     def test_short_sum_is_rejected(self, rng):
-        stream = compress_percent(rng.normal(size=500).astype(np.float32), 5.0)
+        stream = compress_pct(rng.normal(size=500).astype(np.float32), 5.0)
         blob = codec.encode(stream)
         declared = int(stream.lengths.sum()) + 10
         with pytest.raises(CodecError, match="sum to"):
             codec.decode(blob, expected_weights=declared)
 
     def test_exact_sum_passes(self, rng):
-        stream = compress_percent(rng.normal(size=500).astype(np.float32), 5.0)
+        stream = compress_pct(rng.normal(size=500).astype(np.float32), 5.0)
         blob = codec.encode(stream)
         back = codec.decode(blob, expected_weights=int(stream.lengths.sum()))
         assert back.num_weights == int(stream.lengths.sum())
 
     def test_legacy_zero_length_segment_rejected(self, rng):
         # v2 has no CRCs, but bounds validation still applies
-        stream = compress_percent(rng.normal(size=200).astype(np.float32), 0.0)
+        stream = compress_pct(rng.normal(size=200).astype(np.float32), 0.0)
         blob = bytearray(codec.encode_legacy(stream))
         # zero out the u16 length field of segment 0
         off = codec.LEGACY_HEADER_BYTES + stream.fmt.segment_bytes - 2

@@ -19,8 +19,9 @@ from repro.core.codecs import (
     get_codec,
     register_codec,
 )
-from repro.core.compression import StorageFormat, compress_percent
+from repro.core.compression import StorageFormat
 from repro.core.quantization import quantize_tensor
+from tests.conftest import compress_pct
 
 LOSSLESS = ["rle", "huffman", "lz"]
 ALL_CODECS = LOSSLESS + ["linefit", "quantize-int8"]
@@ -160,17 +161,17 @@ class TestLineFitRoundTrip:
         w = rng.standard_normal(3000).astype(np.float32)
         for pct in (0.0, 5.0, 15.0):
             blob = get_codec("linefit", delta_pct=pct).encode(w)
-            ref = compress_percent(w, pct)
+            ref = compress_pct(w, pct)
             assert blob.payload == wire_encode(ref)
-            assert blob.compression_ratio == pytest.approx(ref.compression_ratio)
+            assert blob.compression_ratio == pytest.approx(ref.original_bytes / ref.compressed_bytes)
             assert blob.num_segments == ref.num_segments
 
     def test_int8_format_matches_reference_accounting(self):
         rng = np.random.default_rng(23)
         w = quantize_tensor(rng.standard_normal(2000)).values.astype(np.float32)
         blob = get_codec("linefit", delta_pct=5.0, fmt="int8").encode(w)
-        ref = compress_percent(w, 5.0, fmt=StorageFormat.int8())
-        assert blob.compression_ratio == pytest.approx(ref.compression_ratio)
+        ref = compress_pct(w, 5.0, fmt=StorageFormat.int8())
+        assert blob.compression_ratio == pytest.approx(ref.original_bytes / ref.compressed_bytes)
 
     def test_wire_payload_decodable_by_core_codec(self):
         w = np.linspace(0, 1, 500, dtype=np.float32)
@@ -206,11 +207,11 @@ class TestComposition:
         blob = chain.encode(w)
 
         qt = quantize_tensor(w)
-        manual = compress_percent(
+        manual = compress_pct(
             qt.values.astype(np.float32).ravel(), 5.0, fmt=StorageFormat.int8()
         )
         assert blob.payload == wire_encode(manual)
-        assert blob.compression_ratio == pytest.approx(manual.compression_ratio)
+        assert blob.compression_ratio == pytest.approx(manual.original_bytes / manual.compressed_bytes)
 
         # decode de-quantizes through the recorded side-info
         out = chain.decode(blob)

@@ -1,4 +1,8 @@
-"""Compression API: ratios, reconstruction error, formats."""
+"""Line-fit compression: ratios, reconstruction error, formats.
+
+CR and MSE are read from the codec (``blob.compression_ratio``,
+``Codec.reconstruction_mse``); the segmentation and storage internals
+from the parsed :class:`CompressedStream`."""
 
 from __future__ import annotations
 
@@ -8,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.codecs import get_codec
 from repro.core.compression import (
     CompressedStream,
     StorageFormat,
     compress,
-    compress_percent,
     quantize_coefficient,
 )
+from repro.core.segmentation import delta_from_percent
 
 
 class TestStorageFormat:
@@ -55,21 +60,25 @@ class TestCompress:
     def test_delta0_cr_matches_paper_calibration(self, rng):
         """delta=0 on a high-entropy stream gives CR ~ 1.21 (Tab. II)."""
         w = rng.normal(size=200_000).astype(np.float32)
-        cs = compress_percent(w, 0.0)
-        assert cs.compression_ratio == pytest.approx(1.21, abs=0.02)
+        blob = get_codec("linefit", delta_pct=0.0).encode(w)
+        assert blob.compression_ratio == pytest.approx(1.21, abs=0.02)
 
     def test_cr_increases_with_delta(self, rng):
         w = rng.normal(size=50_000).astype(np.float32)
-        crs = [compress_percent(w, d).compression_ratio for d in (0, 5, 10, 15, 20)]
+        crs = [
+            get_codec("linefit", delta_pct=d).encode(w).compression_ratio
+            for d in (0, 5, 10, 15, 20)
+        ]
         assert crs == sorted(crs)
         assert crs[-1] > 2 * crs[0]
 
     def test_pure_line_compresses_to_one_segment(self):
         w = np.linspace(0, 1, 10_000).astype(np.float32)
-        cs = compress(w, 0.0)
-        assert cs.num_segments == 1
-        assert cs.compression_ratio > 1000
-        np.testing.assert_allclose(cs.decompress(), w, atol=1e-4)
+        codec = get_codec("linefit")
+        blob = codec.encode(w)
+        assert blob.num_segments == 1
+        assert blob.compression_ratio > 1000
+        np.testing.assert_allclose(codec.decode(blob), w, atol=1e-4)
 
     def test_weight_count_preserved(self, rng):
         w = rng.normal(size=777)
@@ -87,13 +96,14 @@ class TestCompress:
         # two-point segments are always fit exactly (before coefficient
         # rounding, which is tiny)
         w = np.array([0.0, 1.0, 0.5, 1.5], dtype=np.float32)
-        cs = compress(w, 0.0)
-        assert cs.mse(w) < 1e-9
+        codec = get_codec("linefit")
+        assert codec.reconstruction_mse(codec.encode(w), w) < 1e-9
 
     def test_mse_rejects_wrong_length(self, rng):
-        cs = compress(rng.normal(size=10), 0.0)
+        codec = get_codec("linefit")
+        blob = codec.encode(rng.normal(size=10))
         with pytest.raises(ValueError):
-            cs.mse(np.zeros(11))
+            codec.reconstruction_mse(blob, np.zeros(11))
 
     def test_empty_stream(self):
         cs = compress(np.array([]), 0.0)
@@ -118,7 +128,7 @@ class TestCompress:
     )
     @settings(max_examples=100, deadline=None)
     def test_decompressed_length_always_matches(self, w, delta_pct):
-        cs = compress_percent(w, delta_pct)
+        cs = compress(w, delta_from_percent(w, delta_pct))
         assert cs.decompress().shape == w.shape
         assert int(cs.lengths.sum()) == w.size
 
@@ -130,7 +140,10 @@ class TestCompress:
     def test_mse_grows_with_delta_statistically(self, seed, n):
         """On Gaussian streams, larger delta gives larger (or equal) MSE."""
         w = np.random.default_rng(seed).normal(size=n)
-        mses = [compress_percent(w, d).mse(w) for d in (0.0, 10.0, 30.0)]
+        mses = []
+        for d in (0.0, 10.0, 30.0):
+            codec = get_codec("linefit", delta_pct=d)
+            mses.append(codec.reconstruction_mse(codec.encode(w), w))
         assert mses[0] <= mses[1] * 1.05 + 1e-12
         assert mses[1] <= mses[2] * 1.05 + 1e-12
 
@@ -138,7 +151,7 @@ class TestCompress:
         """Within a segment the line fit error can't exceed the segment's
         value spread (least squares is at least as good as a constant)."""
         w = rng.normal(size=2000)
-        cs = compress_percent(w, 15.0)
+        cs = compress(w, delta_from_percent(w, 15.0))
         approx = cs.decompress(dtype=np.float64)
         b = np.concatenate(([0], np.cumsum(cs.lengths)))
         for i in range(cs.num_segments):

@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codecs import LineFitCodec
-from repro.core.compression import compress, compress_percent
+from repro.core.compression import compress
 from repro.core.decompressor import (
     DEFAULT_TILE_WEIGHTS,
     DecodePlan,
-    DecompressionUnit,
     DecompressorTiming,
     WeightStream,
 )
 from repro.core.model_store import ModelArchive
 from repro.core.provider import BlobProvider, provider_for
+from repro.mapping import Accelerator
+from repro.mapping.schedule import CompressionEffect
 from repro.resilience import decode_degraded
+from tests.conftest import compress_pct
 
 from .test_linefit import evaluate_lines
 
@@ -40,7 +42,7 @@ class TestAccumulatorSemantics:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_exact_vs_scalar_loop(self, seed):
         w = np.random.default_rng(seed).normal(size=300).astype(np.float32)
-        stream = compress_percent(w, 10.0)
+        stream = compress_pct(w, 10.0)
         fast = stream.decompress()
         ref = _sequential_reference(stream)
         assert fast.dtype == np.float32
@@ -48,7 +50,7 @@ class TestAccumulatorSemantics:
 
     def test_close_to_exact_line_evaluation(self, rng):
         w = rng.normal(size=1000).astype(np.float32)
-        stream = compress_percent(w, 15.0)
+        stream = compress_pct(w, 15.0)
         hw = stream.decompress()
         exact = evaluate_lines(*stream.storage_coefficients(), stream.lengths)
         # float32 accumulation error is bounded by ~len * eps * |value|
@@ -234,18 +236,28 @@ class TestEveryDecodeEntryPoint:
 
 
 class TestCycleModel:
+    """``CompressionEffect.decompress_cycles``, the one copy of the unit's
+    cycle formula, on a single decompression unit per PE."""
+
     def test_default_timing_one_weight_per_cycle(self, rng):
         w = rng.normal(size=500).astype(np.float32)
-        stream = compress_percent(w, 5.0)
-        unit = DecompressionUnit()
-        assert unit.cycles(stream) == stream.num_segments + stream.num_weights
+        blob = LineFitCodec(delta_pct=5.0).encode(w)
+        effect = Accelerator().compression_effect(blob, units_per_pe=1)
+        cycles = effect.decompress_cycles(blob.num_weights, blob.num_segments)
+        assert cycles == blob.num_segments + blob.num_weights
 
     def test_custom_timing(self, rng):
         w = rng.normal(size=100)
-        stream = compress(w, 0.1)
-        unit = DecompressionUnit(DecompressorTiming(init_cycles=3, run_cycles_per_weight=2))
-        assert unit.cycles(stream) == 3 * stream.num_segments + 2 * stream.num_weights
+        blob = LineFitCodec(delta=0.1).encode(w)
+        effect = CompressionEffect(
+            cr=blob.compression_ratio,
+            segments_total=blob.num_segments,
+            units_per_pe=1,
+            timing=DecompressorTiming(init_cycles=3, run_cycles_per_weight=2),
+        )
+        cycles = effect.decompress_cycles(blob.num_weights, blob.num_segments)
+        assert cycles == 3 * blob.num_segments + 2 * blob.num_weights
 
     def test_cycles_for_aggregate_counts(self):
-        unit = DecompressionUnit()
-        assert unit.cycles_for(num_weights=1000, num_segments=300) == 1300
+        effect = CompressionEffect(cr=1.0, segments_total=300, units_per_pe=1)
+        assert effect.decompress_cycles(weights_per_pe=1000, segments_per_pe=300) == 1300

@@ -31,7 +31,7 @@ class TestOptimizer:
     def test_at_least_matches_best_feasible_single_layer(self, trained):
         """The extension must never do worse than the best single
         (layer, delta) assignment that fits the same accuracy budget."""
-        from repro.core import compress_percent
+        from repro.core import get_codec
         from repro.core.pipeline import CompressionPipeline
 
         model, split, spec = trained
@@ -47,10 +47,10 @@ class TestOptimizer:
             for delta in (5.0, 10.0, 15.0, 20.0):
                 record = pipe.run_delta(delta)
                 if pipe.baseline.top1 - record.top1 <= budget:
-                    stream = compress_percent(
-                        spec.materialize(layer).ravel(), delta
+                    blob = get_codec("linefit", delta_pct=delta).encode(
+                        spec.materialize(layer)
                     )
-                    saving = stream.original_bytes - stream.compressed_bytes
+                    saving = blob.original_bytes - blob.compressed_bytes
                     best_single = max(best_single, saving)
         assert plan.saving_bytes >= 0.95 * best_single
         assert len(plan.assignments) >= 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compression import compress_percent
+from repro.core.codecs import get_codec
 from repro.core.pruning import prune_magnitude, pruned_footprint_bytes
 
 
@@ -74,9 +74,10 @@ class TestStackingWithCompression:
 
     def test_pruned_stream_compresses_better(self, rng):
         w = rng.normal(size=100_000).astype(np.float32)
-        base_cr = compress_percent(w, 5.0).compression_ratio
+        codec = get_codec("linefit", delta_pct=5.0)
+        base_cr = codec.encode(w).compression_ratio
         pruned = prune_magnitude(w, 0.8).values
-        pruned_cr = compress_percent(pruned, 5.0).compression_ratio
+        pruned_cr = codec.encode(pruned).compression_ratio
         assert pruned_cr > 2 * base_cr
 
     def test_stacked_beats_bitmap_at_moderate_delta(self, rng):
@@ -86,14 +87,17 @@ class TestStackingWithCompression:
         w = rng.normal(size=100_000).astype(np.float32)
         pt = prune_magnitude(w, 0.8)
         bitmap_bytes = pruned_footprint_bytes(pt)
-        assert compress_percent(pt.values, 20.0).compressed_bytes < bitmap_bytes
-        assert compress_percent(pt.values, 2.0).compressed_bytes > bitmap_bytes
+        def compressed_bytes(delta_pct):
+            return get_codec("linefit", delta_pct=delta_pct).encode(pt.values).compressed_bytes
+
+        assert compressed_bytes(20.0) < bitmap_bytes
+        assert compressed_bytes(2.0) > bitmap_bytes
 
     def test_compression_preserves_pruned_zero_runs_approximately(self, rng):
         w = rng.normal(size=20_000).astype(np.float32)
         pt = prune_magnitude(w, 0.9)
-        stream = compress_percent(pt.values, 2.0)
-        approx = stream.decompress()
+        codec = get_codec("linefit", delta_pct=2.0)
+        approx = codec.decode(codec.encode(pt.values))
         zero_err = np.abs(approx[~pt.mask.ravel()])
         # pruned positions stay near zero after lossy reconstruction
         assert zero_err.mean() < 0.05 * np.abs(w).max()

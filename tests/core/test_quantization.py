@@ -7,11 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.quantization import (
-    model_footprint,
-    quantize_model,
-    quantize_tensor,
-)
+from repro.core.quantization import quantize_model, quantize_tensor
 from repro.nn.layers import Conv2D, Dense, Flatten
 from repro.nn.sequential import Sequential
 
@@ -102,10 +98,8 @@ class TestModelQuantization:
     def test_footprint_reduction_near_4x(self, rng):
         m = self._model(rng)
         q = quantize_model(m)
-        full = model_footprint(m.num_params)
-        quant = model_footprint(m.num_params, q)
-        # weights go 4 -> 1 byte; biases stay float
+        q_params = sum(qt.num_params for qt in q.values())
+        full = 4 * m.num_params
+        # weights go 4 -> 1 byte (plus per-tensor metadata); biases stay float
+        quant = 4 * (m.num_params - q_params) + sum(qt.footprint_bytes for qt in q.values())
         assert full / quant > 3.0
-
-    def test_footprint_without_quantization(self):
-        assert model_footprint(100) == 400

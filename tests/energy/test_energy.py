@@ -8,8 +8,6 @@ from repro.energy import (
     COMPONENTS,
     EnergyAccount,
     EnergyBreakdown,
-    EnergyParams,
-    estimate_dram_energy_per_byte,
     estimate_sram,
 )
 
@@ -109,13 +107,3 @@ class TestCacti:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             estimate_sram(0)
-
-    def test_dram_energy_default_matches_params(self):
-        assert estimate_dram_energy_per_byte() == pytest.approx(
-            EnergyParams().main_mem_energy_per_byte, rel=0.01
-        )
-
-    def test_dram_hit_rate_bounds(self):
-        with pytest.raises(ValueError):
-            estimate_dram_energy_per_byte(row_hit_rate=1.5)
-        assert estimate_dram_energy_per_byte(1.0) < estimate_dram_energy_per_byte(0.0)

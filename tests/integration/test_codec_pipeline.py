@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.compression import compress_percent
+from repro.core.codecs import get_codec
 from repro.core.model_store import compress_model, load_archive
 from repro.core.multilayer import optimize_multilayer
 from repro.core.pipeline import CompressionPipeline
@@ -55,10 +55,11 @@ class TestCrossCodecSweep:
         pipe = CompressionPipeline(model, split.x_test, split.y_test)
         w = model.get_weights(pipe.layer_name).ravel()
         for rec in pipe.sweep(DELTAS):
-            ref = compress_percent(w, rec.delta_pct)
+            codec = get_codec("linefit", delta_pct=rec.delta_pct)
+            ref = codec.encode(w)
             assert rec.cr == pytest.approx(ref.compression_ratio, rel=1e-12)
             assert rec.num_segments == ref.num_segments
-            assert rec.mse == pytest.approx(ref.mse(w), rel=1e-12)
+            assert rec.mse == pytest.approx(codec.reconstruction_mse(ref, w), rel=1e-12)
 
     def test_linefit_zero_delta_hits_paper_anchor(self, trained):
         model, split = trained

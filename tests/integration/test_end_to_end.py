@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import compress_percent, knee_point, pareto_front
-from repro.core.codec import decode, encode
+from repro.core import CompressedBlob, get_codec, knee_point, pareto_front, provider_for
 from repro.core.pareto import DesignPoint
 from repro.core.pipeline import CompressionPipeline
 from repro.datasets import train_test
@@ -35,7 +34,7 @@ class TestFullFlow:
         points = []
         for delta in (0.0, 10.0, 20.0):
             record = pipeline.run_delta(delta)
-            eff = acc.compression_effect(compress_percent(weights, delta))
+            eff = acc.compression_effect(get_codec("linefit", delta_pct=delta).encode(weights))
             res = acc.run_model(spec, {"dense_1": eff}, mode="txn")
             points.append(
                 DesignPoint(
@@ -51,13 +50,15 @@ class TestFullFlow:
         assert best.latency <= min(p.latency for p in points) + 1e-9
 
     def test_compressed_stream_survives_transport(self, system):
-        """Compress -> serialize (as the MC would ship it) -> decode ->
-        decompress -> same approximated weights reach the PE."""
+        """Compress -> ship the blob's bytes and spec (as the MC would) ->
+        rebuild -> decode: the same approximated weights the PE's
+        streamed decode produces."""
         _, _, _, spec = system
         w = spec.materialize("dense_1").ravel()
-        stream = compress_percent(w, 10.0)
-        shipped = decode(encode(stream))
-        np.testing.assert_array_equal(shipped.decompress(), stream.decompress())
+        blob = get_codec("linefit", delta_pct=10.0).encode(w)
+        shipped = CompressedBlob.rebuild(blob.spec(), bytes(blob.payload))
+        decoded = get_codec(shipped.codec, **shipped.params).decode(shipped)
+        np.testing.assert_array_equal(decoded, provider_for(blob).materialize())
 
     def test_wire_size_matches_simulated_traffic(self, system):
         """The byte volume the accelerator simulates for the compressed
@@ -67,8 +68,8 @@ class TestFullFlow:
         from repro.noc.flit import TrafficClass
 
         w = spec.materialize("dense_1").ravel()
-        stream = compress_percent(w, 10.0)
-        eff = acc.compression_effect(stream)
+        blob = get_codec("linefit", delta_pct=10.0).encode(w)
+        eff = acc.compression_effect(blob)
         layer = spec.layer("dense_1")
         sched = acc.schedule_layer(layer, compression=eff)
         simulated = sum(
@@ -79,9 +80,9 @@ class TestFullFlow:
         # the O(1) header and the integrity trailer are excluded from the
         # CR accounting (and thus from the simulated traffic volume)
         actual = (
-            len(encode(stream))
+            len(blob.payload)
             - HEADER_BYTES
-            - frame_trailer_bytes(stream.num_segments)
+            - frame_trailer_bytes(blob.num_segments)
         )
         assert simulated == pytest.approx(actual, rel=0.02)
 
@@ -93,7 +94,7 @@ class TestFullFlow:
         weights = spec.materialize("dense_1").ravel()
         base = acc.run_model(spec, mode="txn")
         record = pipeline.run_delta(15.0)
-        eff = acc.compression_effect(compress_percent(weights, 15.0))
+        eff = acc.compression_effect(get_codec("linefit", delta_pct=15.0).encode(weights))
         res = acc.run_model(spec, {"dense_1": eff}, mode="txn")
         assert record.top1 >= pipeline.baseline.top1 - 0.10
         assert res.total_latency.total < 0.85 * base.total_latency.total

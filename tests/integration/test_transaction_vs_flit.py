@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.mapping import Accelerator
 from repro.nn import zoo
 from repro.nn.arch import ArchBuilder
@@ -54,7 +54,7 @@ class TestAgreement:
         acc = Accelerator()
         spec = zoo.lenet5.full()
         w = spec.materialize("dense_1").ravel()
-        eff = acc.compression_effect(compress_percent(w, 15.0))
+        eff = acc.compression_effect(get_codec("linefit", delta_pct=15.0).encode(w))
         flit = acc.run_model(spec, {"dense_1": eff}, mode="flit").total_latency.total
         txn = acc.run_model(spec, {"dense_1": eff}, mode="txn").total_latency.total
         assert txn == pytest.approx(flit, rel=0.15)
@@ -65,7 +65,7 @@ class TestAgreement:
         acc = Accelerator()
         spec = zoo.lenet5.full()
         w = spec.materialize("dense_1").ravel()
-        eff = acc.compression_effect(compress_percent(w, 15.0))
+        eff = acc.compression_effect(get_codec("linefit", delta_pct=15.0).encode(w))
         flit_base = acc.run_model(spec, mode="flit").total_latency.total
         flit_comp = acc.run_model(spec, {"dense_1": eff}, mode="flit").total_latency.total
         txn_base = acc.run_model(spec, mode="txn").total_latency.total

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.mapping import Accelerator, AcceleratorConfig
 from repro.nn import zoo
 from repro.nn.arch import ArchBuilder
@@ -74,7 +74,7 @@ class TestModelRun:
     def test_compression_reduces_latency_and_energy(self, acc, lenet_spec):
         base = acc.run_model(lenet_spec, mode="txn")
         w = lenet_spec.materialize("dense_1")
-        eff = acc.compression_effect(compress_percent(w.ravel(), 15.0))
+        eff = acc.compression_effect(get_codec("linefit", delta_pct=15.0).encode(w.ravel()))
         comp = acc.run_model(lenet_spec, {"dense_1": eff}, mode="txn")
         assert comp.total_latency.total < base.total_latency.total
         assert comp.total_energy.total < base.total_energy.total
@@ -83,14 +83,14 @@ class TestModelRun:
         w = lenet_spec.materialize("dense_1").ravel()
         totals = []
         for pct in (0.0, 10.0, 20.0):
-            eff = acc.compression_effect(compress_percent(w, pct))
+            eff = acc.compression_effect(get_codec("linefit", delta_pct=pct).encode(w))
             res = acc.run_model(lenet_spec, {"dense_1": eff}, mode="txn")
             totals.append(res.total_latency.total)
         assert totals == sorted(totals, reverse=True)
 
     def test_unknown_compressed_layer_rejected(self, acc, lenet_spec):
         w = lenet_spec.materialize("dense_1").ravel()
-        eff = acc.compression_effect(compress_percent(w, 5.0))
+        eff = acc.compression_effect(get_codec("linefit", delta_pct=5.0).encode(w))
         with pytest.raises(ValueError, match="unknown layers"):
             acc.run_model(lenet_spec, {"nope": eff})
 
@@ -109,11 +109,11 @@ class TestDecompressorThroughputAblation:
         """With one decompressor per PE the datapath may slow down; with
         eight (one per lane) compression is a pure win."""
         w = lenet_spec.materialize("dense_1").ravel()
-        stream = compress_percent(w, 15.0)
+        blob = get_codec("linefit", delta_pct=15.0).encode(w)
         fast = Accelerator(AcceleratorConfig(decompressor_units=8))
         slow = Accelerator(AcceleratorConfig(decompressor_units=1))
-        r_fast = fast.run_model(lenet_spec, {"dense_1": fast.compression_effect(stream)}, mode="txn")
-        r_slow = slow.run_model(lenet_spec, {"dense_1": slow.compression_effect(stream)}, mode="txn")
+        r_fast = fast.run_model(lenet_spec, {"dense_1": fast.compression_effect(blob)}, mode="txn")
+        r_slow = slow.run_model(lenet_spec, {"dense_1": slow.compression_effect(blob)}, mode="txn")
         assert r_slow.total_latency.computation >= r_fast.total_latency.computation
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import compress_percent
+from repro.core import get_codec
 from repro.mapping import Accelerator
 from repro.mapping.schedule import DRAM_CHUNK_BYTES, CompressionEffect, build_schedule
 from repro.noc import Mesh, TrafficClass
@@ -87,7 +87,7 @@ class TestCompressionEffect:
     def _effect(self, delta=10.0, units=8):
         w = np.random.default_rng(0).normal(size=40_000).astype(np.float32)
         return Accelerator().compression_effect(
-            compress_percent(w, delta), units_per_pe=units
+            get_codec("linefit", delta_pct=delta).encode(w), units_per_pe=units
         ), w
 
     def test_weight_traffic_shrinks_by_cr(self):

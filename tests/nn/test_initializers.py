@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.initializers import fans, glorot_uniform, he_normal, lecun_normal, trained_like
+from repro.nn.initializers import fans, glorot_uniform, he_normal, trained_like
 
 
 class TestFans:
@@ -30,12 +30,8 @@ class TestClassicalInitializers:
         w = he_normal((64, 32, 3, 3), rng)
         assert w.std() == pytest.approx(np.sqrt(2.0 / (32 * 9)), rel=0.05)
 
-    def test_lecun_scale(self, rng):
-        w = lecun_normal((1000, 10), rng)
-        assert w.std() == pytest.approx(np.sqrt(1.0 / 1000), rel=0.05)
-
     def test_dtype(self, rng):
-        for init in (glorot_uniform, he_normal, lecun_normal):
+        for init in (glorot_uniform, he_normal):
             assert init((8, 8), rng).dtype == np.float32
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro.nn.layers import (
     Add,
-    AvgPool2D,
     BatchNorm2D,
     Concat,
     Conv2D,
@@ -142,9 +141,6 @@ class TestPooling:
         x = rng.permutation(np.arange(2 * 2 * 6 * 6)).reshape(2, 2, 6, 6).astype(float)
         _check_input_grad(MaxPool2D(2), x, tol=1e-5)
 
-    def test_avgpool_grads(self, rng):
-        _check_input_grad(AvgPool2D(2), rng.normal(size=(2, 2, 6, 6)))
-
     def test_globalavg_grads(self, rng):
         _check_input_grad(GlobalAvgPool2D(), rng.normal(size=(3, 4, 5, 5)))
 
@@ -152,11 +148,6 @@ class TestPooling:
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
         y = MaxPool2D(2).forward(x)
         np.testing.assert_array_equal(y[0, 0], [[5, 7], [13, 15]])
-
-    def test_avgpool_value(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        y = AvgPool2D(2).forward(x)
-        np.testing.assert_array_equal(y[0, 0], [[2.5, 4.5], [10.5, 12.5]])
 
     def test_globalavg_value(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))

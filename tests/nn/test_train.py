@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import SGD, SoftmaxCrossEntropy, StepLR, TrainConfig, evaluate, topk_accuracy, train
+from repro.nn import SGD, SoftmaxCrossEntropy, TrainConfig, evaluate, topk_accuracy, train
 from repro.nn.layers import Dense, Parameter
 from repro.nn.sequential import Sequential
 
@@ -93,16 +93,6 @@ class TestSGD:
     def test_invalid_lr(self):
         with pytest.raises(ValueError):
             SGD([], lr=0.0)
-
-
-class TestStepLR:
-    def test_decay_schedule(self):
-        opt = SGD([Parameter(np.zeros(1))], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
 
 
 class TestTrainLoop:

@@ -20,12 +20,11 @@ import pytest
 
 from repro.mapping import Accelerator
 from repro.mapping.accelerator import AcceleratorConfig
-from repro.noc import ChipletMesh, Mesh, NocSimulator, Packet, TrafficClass, build_mesh
+from repro.noc import ChipletMesh, Mesh, NocSimulator, Packet, TrafficClass
 from repro.noc import flit as flit_mod
 from repro.noc.mesh import OPPOSITE
 from repro.noc.patterns import PatternNode, uniform_random
 from repro.noc.simulator import Node
-from repro.noc.topology import TOPOLOGIES
 
 from .test_fastpath import assert_stats_equal
 
@@ -103,12 +102,6 @@ class TestChipletGeometry:
             ChipletMesh(0, 2, 4, 4)
         with pytest.raises(ValueError, match="d2d_extra"):
             ChipletMesh(2, 2, 4, 4, d2d_extra=-1)
-
-    def test_registry_and_unknown(self):
-        for name in TOPOLOGIES:
-            assert build_mesh(name).num_nodes > 0
-        with pytest.raises(ValueError, match="unknown topology"):
-            build_mesh("torus-9")
 
 
 class TestD2DLatency:

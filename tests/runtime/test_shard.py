@@ -305,6 +305,24 @@ class TestShardedIdentity:
         # the first run's markers describe its work, not this call's
         assert metrics.value("tasks_run") == 0
 
+    def test_counters_add_up_cold_half_warm_finished(self, tmp_path):
+        """Every task counts once, as run or as hit: the assembly
+        read-back counts no hit for a task this call's shards ran."""
+        tasks = _grid(8)
+
+        def counters(cache):
+            metrics = MetricsRegistry()
+            run_tasks(tasks, cache=cache, metrics=metrics, shards=4)
+            assert metrics.value("tasks") == 8
+            return metrics.value("tasks_run"), metrics.value("cache_hits")
+
+        cold = ResultCache(root=tmp_path / "cold", enabled=True)
+        assert counters(cold) == (8, 0)
+        warm = ResultCache(root=tmp_path / "warm", enabled=True)
+        run_tasks(tasks[:4], jobs=1, cache=warm)
+        assert counters(warm) == (4, 4)
+        assert counters(warm) == (0, 8)
+
     def test_quarantine_reconciliation(self, tmp_path):
         """An entry that rots after its shard ran is quarantined and
         transparently re-executed at assembly."""
