@@ -239,6 +239,44 @@ def test_decode_throughput(benchmark, machine_scale):
             )
 
 
+def test_encode_throughput(benchmark, machine_scale):
+    """Line-fit encode bandwidth at both ends of the sweep's δ range.
+
+    ``LineFitCodec.encode`` segments, fits and packs a 2 M-weight
+    Gaussian stream.  Each δ must stay within ``MAX_SLOWDOWN`` of its
+    committed MB/s (after machine scaling); a drop means the windowed
+    segmentation, the line fit or the wire packer has regressed.
+    """
+    spec = BASELINE["encode_throughput"]
+    weights = (
+        np.random.default_rng(42)
+        .standard_normal(spec["num_weights"])
+        .astype(np.float32)
+    )
+    mb = weights.nbytes / 1e6
+
+    def measure():
+        return {
+            pct: mb
+            / min(
+                _timed(LineFitCodec(delta_pct=float(pct)).encode, weights)
+                for _ in range(2)
+            )
+            for pct in spec["delta_pct"]
+        }
+
+    measured = benchmark.pedantic(measure, rounds=1, iterations=1)
+    for pct, entry in spec["delta_pct"].items():
+        required = entry["post_mbps"] / (machine_scale * MAX_SLOWDOWN)
+        assert measured[pct] >= required, (
+            f"linefit encode at delta_pct={pct}: {measured[pct]:.1f} MB/s "
+            f"below the {required:.1f} MB/s floor (committed "
+            f"{entry['post_mbps']} MB/s / machine scale {machine_scale:.2f} / "
+            f"slowdown guard {MAX_SLOWDOWN}) — encode throughput has "
+            "regressed; if intentional, re-record benchmarks/BENCH_noc.json"
+        )
+
+
 def _timed(fn, *args) -> float:
     t0 = time.perf_counter()
     fn(*args)

@@ -64,16 +64,23 @@ def run_crc_framing(workload: str, on: bool, fast: bool) -> dict:
     """v3 CRC-framed wire format vs the pre-integrity v2 layout.
 
     Both arms pack the same parsed stream, with :func:`repro.core.codec.
-    encode` or ``encode_legacy``, and decode the bytes through the
-    codec.  Framing adds detection, never content: decoded bytes, CR
-    (the cost model excludes the trailer) and MSE must all be unchanged.
+    encode` or ``encode_legacy``, and every metric is read back from the
+    packed bytes: CR and segment count from the parsed payload, MSE and
+    decoded bytes through the codec.  Framing adds detection, never
+    content: both arms must carry the same segments.
     """
     w = wl.stream(workload, fast)
     codec = LineFitCodec(delta_pct=_DELTA_PCT)
     blob = codec.encode(w)
     pack = wire.encode if on else wire.encode_legacy
     blob = dataclasses.replace(blob, payload=pack(codec.decode_stream(blob)))
-    return _codec_metrics(codec, blob, w)
+    parsed = codec.decode_stream(blob)
+    return {
+        "cr": parsed.original_bytes / parsed.compressed_bytes,
+        "mse": float(codec.reconstruction_mse(blob, w)),
+        "num_segments": float(parsed.num_segments),
+        "decoded": wl.decoded_digest(parsed.decompress()),
+    }
 
 
 def run_segmenter(workload: str, on: bool, fast: bool) -> dict:

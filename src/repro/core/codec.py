@@ -170,17 +170,17 @@ def _unpack_coeff(raw: np.ndarray, nbytes: int) -> np.ndarray:
     raise ValueError(f"unsupported coefficient width: {nbytes}")
 
 
-def _frame_crcs(body: bytes, num_segments: int, segment_bytes: int) -> np.ndarray:
-    """CRC32 of each :data:`SEGMENTS_PER_FRAME`-segment group of the body."""
-    frame_bytes = SEGMENTS_PER_FRAME * segment_bytes
-    n_frames = -(-num_segments // SEGMENTS_PER_FRAME)
-    return np.fromiter(
-        (
-            zlib.crc32(body[i * frame_bytes : (i + 1) * frame_bytes])
-            for i in range(n_frames)
-        ),
+def _frame_crcs(body, segment_bytes: int) -> np.ndarray:
+    """CRC32 of each :data:`SEGMENTS_PER_FRAME`-segment group of the body.
+
+    ``body`` is any bytes-like object; each frame is CRC'd as a slice of
+    a ``memoryview`` over it, so no frame is copied.
+    """
+    view = memoryview(body)
+    step = SEGMENTS_PER_FRAME * segment_bytes
+    return np.array(
+        [zlib.crc32(view[i : i + step]) for i in range(0, len(view), step)],
         dtype=np.uint32,
-        count=n_frames,
     )
 
 
@@ -205,7 +205,7 @@ def encode(stream: CompressedStream) -> bytes:
     """Serialize a compressed stream to bytes (version 3, CRC-framed)."""
     flags, body = _pack_body(stream)
     n = stream.num_segments
-    trailer = _frame_crcs(body, n, stream.fmt.segment_bytes).astype("<u4").tobytes()
+    trailer = _frame_crcs(body, stream.fmt.segment_bytes).astype("<u4").tobytes()
     header0 = _HEADER.pack(_MAGIC, _VERSION, flags, n, 0, float(stream.delta))
     crc = zlib.crc32(trailer, zlib.crc32(header0))
     header = _HEADER.pack(_MAGIC, _VERSION, flags, n, crc, float(stream.delta))
@@ -295,9 +295,9 @@ def _parse(data: bytes, strict: bool) -> LenientStream:
         # to the per-frame comparison — body damage is flagged exactly,
         # and a corrupted trailer CRC flags only its own frame (a
         # conservative false positive instead of losing the whole layer)
-        body_bytes = data[header_bytes : header_bytes + body_len]
+        body_bytes = memoryview(data)[header_bytes : header_bytes + body_len]
         stored = np.frombuffer(trailer, dtype="<u4")
-        actual = _frame_crcs(body_bytes, num_segments, fmt.segment_bytes)
+        actual = _frame_crcs(body_bytes, fmt.segment_bytes)
         bad_frames = np.flatnonzero(stored != actual)
         for f in bad_frames:
             lo = int(f) * SEGMENTS_PER_FRAME

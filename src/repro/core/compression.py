@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linefit import fit_segments
-from .segmentation import segment_boundaries
+from .segmentation import segment_windows
 
 __all__ = [
     "StorageFormat",
@@ -190,14 +190,33 @@ def compress(
 
     Implements the full Sec. III-B flow: weak-monotonic greedy
     segmentation, per-segment least-squares line fit, and the
-    three-field-per-segment storage model.
+    three-field-per-segment storage model.  The stream is segmented and
+    fit one window at a time (:func:`~repro.core.segmentation.
+    segment_windows`), so beyond its output the encode holds about one
+    float64 window; the result is bit-identical to a whole-stream fit.
     """
     fmt = fmt or StorageFormat()
-    w = np.asarray(weights).ravel()
-    if w.size and not np.isfinite(w).all():
-        raise ValueError("weight stream contains non-finite values")
-    boundaries = segment_boundaries(w, delta)
-    boundaries = _split_long_segments(boundaries, fmt.max_segment_length)
-    m, q = fit_segments(w, boundaries)
-    lengths = np.diff(boundaries)
-    return CompressedStream(m=m, q=q, lengths=lengths, delta=float(delta), fmt=fmt)
+    ms, qs, lengths = [], [], []
+    for pos, x, b in segment_windows(weights, delta):
+        if not np.isfinite(x).all():
+            raise ValueError("weight stream contains non-finite values")
+        b = _split_long_segments(b, fmt.max_segment_length)
+        m, q = fit_segments(x, b, pos)
+        ms.append(m)
+        qs.append(q)
+        lengths.append(np.diff(b))
+    return CompressedStream(
+        m=_join(ms),
+        q=_join(qs),
+        lengths=_join(lengths, np.int64),
+        delta=float(delta),
+        fmt=fmt,
+    )
+
+
+def _join(pieces: list, dtype=np.float64) -> np.ndarray:
+    """Concatenate per-window pieces and drop them, so only one field's
+    pieces coexist with its joined copy."""
+    out = np.concatenate(pieces) if pieces else np.zeros(0, dtype=dtype)
+    pieces.clear()
+    return out

@@ -39,20 +39,39 @@ changes, starting with a break.  Runs of ones in ``c`` are found with
 ``np.flatnonzero`` and the alternation is an index-parity test — O(n)
 NumPy, no Python loop.  ``segment_greedy_reference`` keeps the obvious
 sequential implementation for differential testing.
+
+Windows
+-------
+The scan runs over windows of about ``_WINDOW`` weights rather than the
+whole stream, so its float64 copy and step temporaries stay cache-sized
+however long the stream is.  A segment start resets the greedy state, so
+a window that starts at one partitions exactly as the whole-stream scan
+does up to its last break; :func:`segment_windows` cuts there and the
+open segment carries into the next window.  A window without a break
+grows from the same start until it holds one or reaches the end of the
+stream.  Each window is cast to float64 once and handed on, so the line
+fit (:func:`repro.core.compression.compress`) sums the same array;
+:func:`segment_boundaries` is the same loop without the fit.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
 __all__ = [
     "step_signs",
+    "segment_windows",
     "segment_boundaries",
     "segment_greedy_reference",
-    "segment_lengths",
     "is_weak_monotonic",
     "delta_from_percent",
 ]
+
+#: weights per scan window: its float64 copy and each step temporary
+#: take 512 KiB, so a window's working set stays near a core's L2 cache
+_WINDOW = 1 << 16
 
 
 def delta_from_percent(weights: np.ndarray, delta_pct: float) -> float:
@@ -94,10 +113,66 @@ def step_signs(weights: np.ndarray, delta: float) -> np.ndarray:
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     d = np.diff(w)
-    signs = np.zeros(d.shape, dtype=np.int8)
-    signs[d > delta] = 1
-    signs[d < -delta] = -1
-    return signs
+    return (d > delta).view(np.int8) - (d < -delta).view(np.int8)
+
+
+def _breaks(x: np.ndarray, delta: float) -> np.ndarray:
+    """Greedy segment starts after ``x[0]``, which starts a segment."""
+    signs = step_signs(x, delta)
+    # flatnonzero of a bool mask, and gathers by index rather than by
+    # boolean mask (below), run several times faster than their int8
+    # and masked forms
+    nz = np.flatnonzero(signs != 0)
+    t = signs[nz]
+    # j - 1 for each sign change c_j = 1 (j = 1..k-1) of the non-zero
+    # subsequence
+    change_idx = np.flatnonzero(t[1:] != t[:-1])
+    if change_idx.size == 0:
+        return change_idx
+    # break(j) alternates inside each maximal run of consecutive changes,
+    # starting with a break at the run head.  Run heads are the change
+    # positions not preceded by a change; broadcasting the head index to
+    # the whole run (non-heads contribute 0, below the first head) lets
+    # a parity test pick every other position.
+    head_mask = np.ones(change_idx.size, dtype=bool)
+    head_mask[1:] = np.diff(change_idx) > 1
+    head_of = np.maximum.accumulate(change_idx * head_mask)
+    keep = np.flatnonzero(((change_idx - head_of) & 1) == 0)
+    # The breaking step is signs[nz[j]]; the next segment starts at the
+    # element just after that step.
+    return nz[change_idx[keep] + 1] + 1
+
+
+def segment_windows(
+    weights: np.ndarray, delta: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Greedy weak-monotonic partition of ``weights``, window by window.
+
+    Yields ``(pos, x, b)`` in stream order: ``x`` is
+    ``weights[pos:pos + len(x)]`` cast to ``float64`` and ``b`` its local
+    boundary array (``b[0] == 0``, ``b[-1] == len(x)``), so segment
+    ``i`` of the window is ``x[b[i]:b[i+1]]``.  The windows tile the
+    stream, each starts at a segment start, and together their
+    boundaries are exactly :func:`segment_boundaries`.  An empty stream
+    yields nothing.
+    """
+    if delta < 0:
+        raise ValueError(f"delta must be non-negative, got {delta}")
+    w = np.asarray(weights).ravel()
+    n = w.size
+    pos, size = 0, _WINDOW
+    while pos < n:
+        stop = min(pos + size, n)
+        x = np.asarray(w[pos:stop], dtype=np.float64)
+        starts = _breaks(x, delta)
+        if stop < n:
+            if starts.size == 0:
+                size *= 2  # one open segment: grow from the same start
+                continue
+            # the segment from the last break on may go on past `stop`
+            x, starts = x[: starts[-1]], starts[:-1]
+        yield pos, x, np.concatenate(([0], starts, [x.size]))
+        pos, size = pos + x.size, _WINDOW
 
 
 def segment_boundaries(weights: np.ndarray, delta: float) -> np.ndarray:
@@ -119,40 +194,9 @@ def segment_boundaries(weights: np.ndarray, delta: float) -> np.ndarray:
         ``b[-1] == n``; segment ``i`` is ``weights[b[i]:b[i+1]]``.
         An empty stream yields ``[0]``.
     """
-    w = np.asarray(weights).ravel()
-    n = w.size
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    if n == 1:
-        return np.array([0, 1], dtype=np.int64)
-
-    signs = step_signs(w, delta)
-    nz = np.flatnonzero(signs)
-    if nz.size <= 1:
-        # At most one committed direction: a single segment.
-        return np.array([0, n], dtype=np.int64)
-
-    t = signs[nz]
-    change = t[1:] != t[:-1]  # c_j for j = 1..k-1 in the non-zero subsequence
-    if not change.any():
-        return np.array([0, n], dtype=np.int64)
-
-    # break(j) alternates inside each maximal run of consecutive changes,
-    # starting with a break at the run head.  Run heads are the change
-    # positions not preceded by a change; broadcasting the head index to
-    # the whole run lets a parity test pick every other position.
-    change_idx = np.flatnonzero(change)  # indices into `change`
-    head_mask = np.ones(change_idx.size, dtype=bool)
-    head_mask[1:] = np.diff(change_idx) > 1
-    # For each change position, index of its run head (same units).
-    head_of = np.maximum.accumulate(np.where(head_mask, change_idx, -1))
-    breaks_in_change = (change_idx - head_of) % 2 == 0
-    break_j = change_idx[breaks_in_change] + 1  # j-index in non-zero subseq
-
-    # The breaking step is signs[nz[break_j]]; the next segment starts at
-    # the element just after that step.
-    starts = nz[break_j] + 1
-    return np.concatenate(([0], starts, [n])).astype(np.int64)
+    starts = [pos + b[:-1] for pos, _, b in segment_windows(weights, delta)]
+    n = np.asarray(weights).size
+    return np.concatenate([*starts, [n]]).astype(np.int64)
 
 
 def segment_greedy_reference(weights: np.ndarray, delta: float) -> np.ndarray:
@@ -180,12 +224,6 @@ def segment_greedy_reference(weights: np.ndarray, delta: float) -> np.ndarray:
             direction = 0
     boundaries.append(n)
     return np.asarray(boundaries, dtype=np.int64)
-
-
-def segment_lengths(boundaries: np.ndarray) -> np.ndarray:
-    """Lengths of the segments described by a boundary array."""
-    b = np.asarray(boundaries, dtype=np.int64)
-    return np.diff(b)
 
 
 def is_weak_monotonic(segment: np.ndarray, delta: float) -> bool:

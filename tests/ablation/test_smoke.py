@@ -27,3 +27,33 @@ def test_identical_class_is_bitwise_zero():
     assert report.rows, "smoke must compare at least one metric row"
     assert all(r.delta_class == IDENTICAL for r in report.rows)
     assert {r.feature for r in report.rows} == set(names)
+
+
+def test_crc_framing_row_reads_the_packed_payload(monkeypatch):
+    """Every metric of the ``core.crc_framing`` row comes from the bytes
+    its arm packed, so a packer that changes the segments shows up as a
+    delta in CR and segment count, not only in the decoded weights."""
+    import numpy as np
+
+    from repro.ablation import toggles
+    from repro.core.compression import CompressedStream
+
+    legacy = toggles.wire.encode_legacy
+
+    def one_weight_per_segment(stream):
+        w = stream.decompress(np.float64)
+        return legacy(
+            CompressedStream(
+                m=np.zeros(w.size),
+                q=w,
+                lengths=np.ones(w.size, dtype=np.int64),
+                delta=stream.delta,
+                fmt=stream.fmt,
+            )
+        )
+
+    monkeypatch.setattr(toggles.wire, "encode_legacy", one_weight_per_segment)
+    on = toggles.run_crc_framing("lenet-dense", True, True)
+    off = toggles.run_crc_framing("lenet-dense", False, True)
+    assert off["num_segments"] > on["num_segments"]
+    assert off["cr"] < on["cr"]
