@@ -18,6 +18,11 @@ The model is the tiny bench MLP on purpose: its ~10 µs forward makes
 per-request *service* overhead (event-loop round trip, queueing,
 dispatch) the dominant cost, which is exactly what micro-batching
 amortizes and therefore what this benchmark must be sensitive to.
+
+A third workload times the forward itself: a cache-hot
+``ServedModel.forward_batch`` of LeNet-5 served from a δ = 10 % archive
+(every conv and dense layer line-fit compressed), per sample, guarded
+through the same calibration-spin machine scale.
 """
 
 from __future__ import annotations
@@ -30,8 +35,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.model_store import compress_model
+from repro.nn import zoo
 from repro.runtime.pool import RunPolicy
-from repro.serve import InferenceService, Ok, ServeConfig
+from repro.serve import InferenceService, Ok, ServeConfig, ServedModel
 from repro.serve.demo import BENCH_INPUT_SHAPE, bench_model, demo_inputs
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_serve.json"
@@ -231,3 +238,64 @@ def test_saturation_sweep(benchmark, fast_mode, save_artifact):
     )
     # and the service survived it: still serving at the top level
     assert rows[-1]["ok"] > 0
+
+
+def test_lenet5_forward(benchmark, machine_scale, save_artifact):
+    """Cache-hot served LeNet-5 forward stays within ``MAX_SLOWDOWN``.
+
+    The decoded-weight cache holds every layer after the warm-up batch,
+    so a pass times the forward alone: im2col, the conv GEMMs, max-pool
+    and the dense tiles.  A slower forward means the inference layers
+    have regressed.
+    """
+    entry = BASELINE["benchmarks"]["lenet5_forward"]
+    model = zoo.lenet5.proxy(np.random.default_rng(0))
+    archive = compress_model(
+        model, {name: entry["delta_pct"] for name, _ in model.parametric_layers()}
+    )
+    served = ServedModel(
+        zoo.lenet5.proxy(np.random.default_rng(0)),
+        archive,
+        input_shape=zoo.lenet5.INPUT_SHAPE,
+    )
+    rng = np.random.default_rng(1)
+    xs = [
+        rng.standard_normal(zoo.lenet5.INPUT_SHAPE).astype(np.float32)
+        for _ in range(entry["inputs"])
+    ]
+    batch = entry["batch"]
+    served.forward_batch(xs[:batch])  # fills the cache
+
+    def measure():
+        """Median µs per sample over ``trials`` passes over the inputs."""
+        per_sample = []
+        for _ in range(entry["trials"]):
+            t0 = time.perf_counter()
+            for i in range(0, len(xs), batch):
+                served.forward_batch(xs[i : i + batch])
+            per_sample.append((time.perf_counter() - t0) / len(xs) * 1e6)
+        return float(np.median(per_sample))
+
+    us = benchmark.pedantic(measure, rounds=1, iterations=1)
+    assert served.cache.misses == len(served.compressed_layers)
+    required = entry["post_us"] * machine_scale * MAX_SLOWDOWN
+    save_artifact(
+        "serve_lenet5_forward",
+        "\n".join(
+            [
+                "serve: cache-hot LeNet-5 forward_batch (delta 10%)",
+                f"  measured          {us:.1f} us/sample "
+                f"(machine scale {machine_scale:.2f})",
+                f"  committed         pre {entry['pre_us']} / post "
+                f"{entry['post_us']} us/sample (recording host)",
+                f"  ceiling           {required:.1f} us/sample",
+            ]
+        ),
+    )
+    assert us <= required, (
+        f"served LeNet-5 forward {us:.1f} us/sample over the "
+        f"{required:.1f} us ceiling (committed {entry['post_us']} us x "
+        f"machine scale {machine_scale:.2f} x slowdown guard {MAX_SLOWDOWN}) "
+        "— the inference forward has regressed; if intentional, re-record "
+        "benchmarks/BENCH_serve.json"
+    )

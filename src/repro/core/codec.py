@@ -145,20 +145,41 @@ def frame_trailer_bytes(num_segments: int) -> int:
     return 4 * (-(-int(num_segments) // SEGMENTS_PER_FRAME))
 
 
-def _pack_coeff(values: np.ndarray, nbytes: int) -> np.ndarray:
-    """Pack float coefficients into an ``(n, nbytes)`` uint8 array."""
+#: the unsigned lane each coefficient width is written through; a 3-byte
+#: coefficient goes out as a 4-byte lane whose spare high byte the next
+#: field of the record overwrites
+_LANES = {2: "<u2", 3: "<u4", 4: "<u4"}
+
+
+def _coeff_bits(values: np.ndarray, nbytes: int) -> np.ndarray:
+    """Coefficients as unsigned integers whose low ``nbytes`` bytes are stored."""
     if nbytes == 2:
-        return values.astype(np.float16).view(np.uint8).reshape(-1, 2)
-    raw = np.ascontiguousarray(values.astype(np.float32)).view(np.uint8).reshape(-1, 4)
-    if nbytes == 4:
-        return raw
+        return values.astype(np.float16).view(np.uint16)
+    bits = values.astype(np.float32).view(np.uint32)
     if nbytes == 3:
-        return raw[:, 1:]  # little-endian: byte 0 is the low mantissa byte
-    raise ValueError(f"unsupported coefficient width: {nbytes}")
+        bits >>= 8  # little-endian: the dropped byte is the low mantissa byte
+    return bits
+
+
+def _record_dtype(fmt: StorageFormat) -> np.dtype:
+    """One segment's ⟨slope, intercept, length⟩ record over the body bytes.
+
+    Fields are assigned in that order, so a 3-byte coefficient's spare
+    lane byte is overwritten by the field after it; the 2-byte length
+    comes last and ends the record exactly.
+    """
+    return np.dtype(
+        {
+            "names": ["m", "q", "length"],
+            "formats": [_LANES[fmt.slope_bytes], _LANES[fmt.intercept_bytes], "<u2"],
+            "offsets": [0, fmt.slope_bytes, fmt.slope_bytes + fmt.intercept_bytes],
+            "itemsize": fmt.segment_bytes,
+        }
+    )
 
 
 def _unpack_coeff(raw: np.ndarray, nbytes: int) -> np.ndarray:
-    """Inverse of :func:`_pack_coeff`; returns float64."""
+    """Inverse of :func:`_coeff_bits` over stored bytes; returns float64."""
     if nbytes == 2:
         return raw.reshape(-1, 2).copy().view(np.float16).ravel().astype(np.float64)
     if nbytes == 4:
@@ -184,32 +205,36 @@ def _frame_crcs(body, segment_bytes: int) -> np.ndarray:
     )
 
 
-def _pack_body(stream: CompressedStream) -> tuple[int, bytes]:
-    """Header flags and segment body, the same in both wire versions."""
+def _pack(
+    stream: CompressedStream, header_bytes: int, trailer_bytes: int
+) -> tuple[int, bytearray]:
+    """Header flags and the message's one buffer, the same in both wire
+    versions: the segment body, packed in place after ``header_bytes``
+    and followed by ``trailer_bytes``, both left zero for the caller."""
     fmt = stream.fmt
     flags = _format_flags(fmt)
     if stream.lengths.size and int(stream.lengths.max()) > fmt.max_segment_length:
         raise ValueError("segment length exceeds the storage format's length field")
-    body = np.empty((stream.num_segments, fmt.segment_bytes), dtype=np.uint8)
-    body[:, : fmt.slope_bytes] = _pack_coeff(stream.m, fmt.slope_bytes)
-    body[:, fmt.slope_bytes : fmt.slope_bytes + fmt.intercept_bytes] = _pack_coeff(
-        stream.q, fmt.intercept_bytes
-    )
-    body[:, -fmt.length_bytes :] = (
-        stream.lengths.astype("<u2").view(np.uint8).reshape(-1, 2)
-    )
-    return flags, body.tobytes()
+    n = stream.num_segments
+    buf = bytearray(header_bytes + n * fmt.segment_bytes + trailer_bytes)
+    records = np.frombuffer(buf, dtype=_record_dtype(fmt), count=n, offset=header_bytes)
+    records["m"] = _coeff_bits(stream.m, fmt.slope_bytes)
+    records["q"] = _coeff_bits(stream.q, fmt.intercept_bytes)
+    records["length"] = stream.lengths
+    return flags, buf
 
 
 def encode(stream: CompressedStream) -> bytes:
     """Serialize a compressed stream to bytes (version 3, CRC-framed)."""
-    flags, body = _pack_body(stream)
-    n = stream.num_segments
-    trailer = _frame_crcs(body, stream.fmt.segment_bytes).astype("<u4").tobytes()
+    n, fmt = stream.num_segments, stream.fmt
+    end = HEADER_BYTES + n * fmt.segment_bytes
+    flags, buf = _pack(stream, HEADER_BYTES, frame_trailer_bytes(n))
+    view = memoryview(buf)
+    view[end:] = _frame_crcs(view[HEADER_BYTES:end], fmt.segment_bytes).astype("<u4").tobytes()
     header0 = _HEADER.pack(_MAGIC, _VERSION, flags, n, 0, float(stream.delta))
-    crc = zlib.crc32(trailer, zlib.crc32(header0))
-    header = _HEADER.pack(_MAGIC, _VERSION, flags, n, crc, float(stream.delta))
-    return header + body + trailer
+    crc = zlib.crc32(view[end:], zlib.crc32(header0))
+    _HEADER.pack_into(buf, 0, _MAGIC, _VERSION, flags, n, crc, float(stream.delta))
+    return bytes(buf)
 
 
 def encode_legacy(stream: CompressedStream) -> bytes:
@@ -219,11 +244,11 @@ def encode_legacy(stream: CompressedStream) -> bytes:
     tests: it produces exactly the messages archives written before the
     framing version bump contain.  New code should use :func:`encode`.
     """
-    flags, body = _pack_body(stream)
-    header = _HEADER_V2.pack(
-        _MAGIC, _LEGACY_VERSION, flags, stream.num_segments, float(stream.delta)
+    flags, buf = _pack(stream, LEGACY_HEADER_BYTES, 0)
+    _HEADER_V2.pack_into(
+        buf, 0, _MAGIC, _LEGACY_VERSION, flags, stream.num_segments, float(stream.delta)
     )
-    return header + body
+    return bytes(buf)
 
 
 @dataclass

@@ -10,6 +10,15 @@ from .base import Layer
 __all__ = ["MaxPool2D", "GlobalAvgPool2D"]
 
 
+def _first_max(taps: list[np.ndarray]) -> np.ndarray:
+    """Elementwise first maximum of ``taps`` in order: a later tap
+    replaces the running maximum only when strictly greater."""
+    out = taps[0]
+    for tap in taps[1:]:
+        out = np.where(tap > out, tap, out)
+    return out
+
+
 class _Pool2D(Layer):
     def __init__(self, pool_size: int, stride: int | None = None, name: str = "") -> None:
         self.pool_size = pool_size
@@ -31,9 +40,31 @@ class _Pool2D(Layer):
 
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; backward routes gradients to the argmax tap."""
+    """Max pooling; backward routes gradients to the argmax tap.
+
+    Inference keeps a running maximum over the window's strided taps in
+    tap order, replacing it only on a strictly greater tap: the first
+    maximum wins, as under ``argmax``, so ties and signed zeros keep the
+    earlier tap.  Taps are ordered row by row, so the first maximum of
+    a window is the first maximum, down its k rows, of each row's first
+    maximum over its k taps: two passes of k taps instead of one of k².
+    ``argmax`` also lets the first NaN of a window win, which a
+    comparison cannot see, so an input holding a NaN takes the
+    ``im2col`` + ``argmax`` path that training needs for its indices.
+    """
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if training or np.isnan(x).any():
+            return self._argmax_forward(x, training)
+        k, s = self.pool_size, self.stride
+        _, c, h, w = x.shape
+        _, oh, ow = self.out_shape((c, h, w))
+        span_h, span_w = s * (oh - 1) + 1, s * (ow - 1) + 1
+        rows = _first_max([x[:, :, :, j : j + span_w : s] for j in range(k)])
+        out = _first_max([rows[:, :, i : i + span_h : s] for i in range(k)])
+        return out if k > 1 else out.copy()  # k == 1 leaves a view of x
+
+    def _argmax_forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         cols, n, c, oh, ow = self._windows(x)
         idx = cols.argmax(axis=1)
         out = cols[np.arange(cols.shape[0]), idx]

@@ -10,6 +10,8 @@ pure-NumPy CNN fast enough to train (the GEMM runs in BLAS).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = ["conv_out_size", "pad_nchw", "im2col", "col2im"]
@@ -30,7 +32,33 @@ def pad_nchw(x: np.ndarray, pad_h: int, pad_w: int) -> np.ndarray:
     """Zero-pad the two spatial dims of an NCHW tensor."""
     if pad_h == 0 and pad_w == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)))
+    n, c, h, w = x.shape
+    xp = np.zeros((n, c, h + 2 * pad_h, w + 2 * pad_w), dtype=x.dtype)
+    xp[:, :, pad_h : pad_h + h, pad_w : pad_w + w] = x
+    return xp
+
+
+@lru_cache(maxsize=64)
+def _gather_index(
+    c: int, hp: int, wp: int, kh: int, kw: int, stride: int, oh: int, ow: int
+) -> np.ndarray:
+    """Flat offsets into one padded ``(C, hp, wp)`` sample, laid out as
+    the ``(oh * ow, C * kh * kw)`` im2col block of that sample.
+
+    Memoized per geometry (a model revisits the same few shapes on every
+    forward); read-only, since every caller shares it.
+    """
+    taps = (
+        np.arange(c)[:, None, None] * (hp * wp)
+        + np.arange(kh)[None, :, None] * wp
+        + np.arange(kw)[None, None, :]
+    ).ravel()
+    pixels = (
+        np.arange(oh)[:, None] * (stride * wp) + np.arange(ow)[None, :] * stride
+    ).ravel()
+    index = pixels[:, None] + taps[None, :]
+    index.flags.writeable = False
+    return index
 
 
 def im2col(
@@ -38,25 +66,20 @@ def im2col(
 ) -> tuple[np.ndarray, int, int]:
     """Unfold sliding windows of an NCHW tensor into GEMM columns.
 
-    Returns ``(cols, oh, ow)`` where ``cols`` has shape
-    ``(N * oh * ow, C * kh * kw)``: one row per output pixel, one column
-    per kernel tap.  Built from a strided view, so the only copy is the
-    final ``reshape``.
+    Returns ``(cols, oh, ow)`` where ``cols`` is a C-ordered array of
+    shape ``(N * oh * ow, C * kh * kw)``: one row per output pixel, one
+    column per kernel tap, in ``x``'s dtype.  The copy is one ``np.take``
+    per call through a memoized index, so the columns come out in their
+    final layout with no strided intermediate.
     """
     n, c, h, w = x.shape
     oh = conv_out_size(h, kh, stride, pad)
     ow = conv_out_size(w, kw, stride, pad)
-    xp = pad_nchw(x, pad, pad)
-    sn, sc, sh, sw = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-    # (N, oh, ow, C, kh, kw) -> rows ordered by output pixel
-    cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    hp, wp = h + 2 * pad, w + 2 * pad
+    index = _gather_index(c, hp, wp, kh, kw, stride, oh, ow)
+    xp = pad_nchw(x, pad, pad).reshape(n, c * hp * wp)
+    cols = np.take(xp, index, axis=1)  # (N, oh * ow, C * kh * kw)
+    return cols.reshape(n * oh * ow, c * kh * kw), oh, ow
 
 
 def col2im(

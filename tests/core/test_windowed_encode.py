@@ -6,11 +6,17 @@ windows that start at segment starts.  The whole-stream kernels they
 replaced live on here as the oracle: boundaries, ⟨m, q, len⟩ and wire
 bytes must be bit-identical to them at every window size, including
 windows of 2 and 3 weights that must grow before they hold a break.
+
+The wire packer has an oracle here too: the field-by-field ``uint8``
+column copies and ``header + body + trailer`` concatenation that
+:func:`~repro.core.codec.encode` replaced with one record-packed buffer.
 """
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -96,6 +102,34 @@ def whole_stream_compress(weights, delta, fmt=None) -> CompressedStream:
     return CompressedStream(m=m, q=q, lengths=np.diff(b), delta=float(delta), fmt=fmt)
 
 
+def column_packed(stream: CompressedStream, legacy: bool = False) -> bytes:
+    """The wire message packed one ``uint8`` column block per field."""
+    fmt = stream.fmt
+    sw, iw = fmt.slope_bytes, fmt.intercept_bytes
+
+    def coeff(values, nbytes):
+        if nbytes == 2:
+            return values.astype(np.float16).view(np.uint8).reshape(-1, 2)
+        raw = np.ascontiguousarray(values.astype(np.float32)).view(np.uint8).reshape(-1, 4)
+        return raw if nbytes == 4 else raw[:, 1:]
+
+    n = stream.num_segments
+    body = np.empty((n, fmt.segment_bytes), dtype=np.uint8)
+    body[:, :sw] = coeff(stream.m, sw)
+    body[:, sw : sw + iw] = coeff(stream.q, iw)
+    body[:, -2:] = stream.lengths.astype("<u2").view(np.uint8).reshape(-1, 2)
+    body = body.tobytes()
+    flags = wire._format_flags(fmt)
+    if legacy:
+        return struct.pack("<4sBBI d", b"RWCS", 2, flags, n, stream.delta) + body
+    step = wire.SEGMENTS_PER_FRAME * fmt.segment_bytes
+    crcs = [zlib.crc32(body[i : i + step]) for i in range(0, len(body), step)]
+    trailer = np.array(crcs, dtype="<u4").tobytes()
+    header = struct.Struct("<4sBBII d")
+    crc = zlib.crc32(trailer, zlib.crc32(header.pack(b"RWCS", 3, flags, n, 0, stream.delta)))
+    return header.pack(b"RWCS", 3, flags, n, crc, stream.delta) + body + trailer
+
+
 def _window(size):
     """Scan in ``size``-weight windows (``None``: the module default)."""
     return mock.patch.object(segmentation, "_WINDOW", size or segmentation._WINDOW)
@@ -117,7 +151,7 @@ def assert_matches_oracle(w: np.ndarray, delta: float, window) -> None:
     np.testing.assert_array_equal(stream.lengths, oracle.lengths)
     np.testing.assert_array_equal(_bits(stream.m), _bits(oracle.m))
     np.testing.assert_array_equal(_bits(stream.q), _bits(oracle.q))
-    assert wire.encode(stream) == wire.encode(oracle)
+    assert wire.encode(stream) == column_packed(oracle)
     np.testing.assert_array_equal(w, before)  # windows are read, not written
 
 
@@ -207,4 +241,69 @@ def test_peak_memory_scales_with_segments_not_weights():
     assert peak <= budget, (
         f"peak {peak / 2**20:.1f} MiB over {budget / 2**20:.1f} MiB for "
         f"{stream.num_segments} segments of {w.size} weights"
+    )
+
+
+_FORMATS = [
+    StorageFormat(),
+    StorageFormat.int8(),
+    *(
+        StorageFormat(slope_bytes=sw, intercept_bytes=iw)
+        for sw in (2, 3, 4)
+        for iw in (2, 3, 4)
+    ),
+]
+
+
+class TestRecordPackerEqualsColumnPacker:
+    """Every storage format packs to the column packer's bytes."""
+
+    @given(
+        w=_streams,
+        delta=st.floats(0, 2),
+        fmt=st.sampled_from(_FORMATS),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, w, delta, fmt):
+        stream = compress(w, delta, fmt)
+        assert wire.encode(stream) == column_packed(stream)
+        assert wire.encode_legacy(stream) == column_packed(stream, legacy=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize(
+        "fmt", _FORMATS, ids=lambda f: f"w{f.weight_bytes}-s{f.slope_bytes}-i{f.intercept_bytes}"
+    )
+    def test_extreme_coefficients(self, fmt):
+        # overflow to ±inf in float16, subnormals, signed zeros, and
+        # segments at the length field's limit
+        m = np.array([7e4, -7e4, 1e-40, -0.0, 3.4e38, 1.0 / 3.0])
+        lengths = np.array([1, 2, 65535, 3, 4, 65535])
+        stream = CompressedStream(
+            m=m, q=m[::-1].copy(), lengths=lengths, delta=0.5, fmt=fmt
+        )
+        assert wire.encode(stream) == column_packed(stream)
+        assert wire.encode_legacy(stream) == column_packed(stream, legacy=True)
+
+
+def test_wire_encode_holds_one_body_besides_the_payload():
+    """``encode`` packs into one preallocated buffer.
+
+    The body is 8 B per segment in the default format.  Besides the
+    parsed stream it reads (24 B per segment), the packer holds that
+    buffer and the ``bytes`` it returns: 40 B per segment in all.  The
+    column packer held the ``(S, 8)`` array, its ``tobytes()``, and two
+    concatenations, three bodies at once (48 B per segment).
+    """
+    w = np.random.default_rng(0).standard_normal(4_000_000).astype(np.float32)
+    stream = compress(w, delta_from_percent(w, 10.0))
+    tracemalloc.start()
+    try:
+        payload = wire.encode(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 2 * len(payload) + (64 << 10)
+    assert peak <= budget, (
+        f"peak {peak / stream.num_segments:.2f} B/segment over "
+        f"{budget / stream.num_segments:.2f} for {stream.num_segments} segments"
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.layers import (
     Add,
@@ -20,6 +22,7 @@ from repro.nn.layers import (
     Softmax,
 )
 from tests.conftest import numerical_gradient, rel_err
+from tests.nn.oracles import maxpool_argmax
 
 
 def _check_input_grad(layer, x, tol=1e-6):
@@ -154,6 +157,73 @@ class TestPooling:
         np.testing.assert_allclose(
             GlobalAvgPool2D().forward(x), x.mean(axis=(2, 3))
         )
+
+
+def _nan(bits: int, dtype) -> np.ndarray:
+    """A NaN with a chosen payload, so the winning NaN is identifiable."""
+    itype = np.uint32 if dtype == np.float32 else np.uint64
+    return np.array([bits], dtype=itype).view(dtype)[0]
+
+
+@st.composite
+def _pool_cases(draw):
+    k, s = draw(st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]))
+    n, c = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    h = k + draw(st.integers(0, 8))  # odd and even sizes, ragged edges
+    w = k + draw(st.integers(0, 8))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    # few distinct values: most windows hold ties, and +0 next to -0
+    alphabet = [-1.0, -0.0, 0.0, 0.5, 1.0]
+    if draw(st.booleans()):
+        alphabet += [_nan(0x7FC00001, np.float32), _nan(0xFFC00002, np.float32)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):  # constant windows
+        x = np.full((n, c, h, w), alphabet[rng.integers(len(alphabet))], dtype=dtype)
+    else:
+        x = np.asarray(alphabet, dtype=dtype)[rng.integers(len(alphabet), size=(n, c, h, w))]
+    return x, k, s
+
+
+class TestMaxPoolOracle:
+    """Inference max-pool equals unfold + ``argmax`` bit for bit."""
+
+    @given(case=_pool_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_inference_property(self, case):
+        x, k, s = case
+        layer = MaxPool2D(k, s)
+        got = layer.forward(x)
+        want = maxpool_argmax(MaxPool2D(k, s), x)
+        assert got.shape == want.shape and got.dtype == x.dtype
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @given(case=_pool_cases())
+    @settings(max_examples=50, deadline=None)
+    def test_training_property(self, case):
+        x, k, s = case
+        layer, oracle = MaxPool2D(k, s), MaxPool2D(k, s)
+        got = layer.forward(x, training=True)
+        want = maxpool_argmax(oracle, x, training=True)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(layer._cache[1], oracle._cache[1])
+
+    def test_first_nan_wins(self):
+        first, later = _nan(0x7FC00001, np.float32), _nan(0xFFC00002, np.float32)
+        x = np.array([[[[1.0, first], [later, 2.0]]]], dtype=np.float32)
+        got = MaxPool2D(2).forward(x)
+        assert got.view(np.uint32)[0, 0, 0, 0] == 0x7FC00001
+
+    def test_signed_zero_keeps_earlier_tap(self):
+        x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]]], dtype=np.float32)
+        assert np.signbit(MaxPool2D(2).forward(x)).all()
+        assert not np.signbit(MaxPool2D(2).forward(-x)).any()
+
+    def test_output_is_not_a_view(self, rng):
+        x = rng.normal(size=(1, 2, 4, 4))
+        y = MaxPool2D(1).forward(x)
+        y[...] = 0.0
+        assert (x != 0.0).all()
 
 
 class TestBatchNorm:

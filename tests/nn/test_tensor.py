@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nn.tensor import col2im, conv_out_size, im2col, pad_nchw
+from tests.nn.oracles import im2col_strided
 
 
 class TestConvOutSize:
@@ -29,6 +32,16 @@ class TestPad:
     def test_shape(self, rng):
         x = rng.normal(size=(2, 3, 4, 5))
         assert pad_nchw(x, 1, 2).shape == (2, 3, 6, 9)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_np_pad(self, rng, dtype):
+        x = rng.normal(size=(2, 3, 4, 5)).astype(dtype)
+        x[0, 0, 0, 0] = -0.0
+        x[1, 2, 3, 4] = np.nan
+        got = pad_nchw(x[:, ::-1], 2, 1)  # non-contiguous input
+        want = np.pad(x[:, ::-1], ((0, 0), (0, 0), (2, 2), (1, 1)))
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def _naive_conv(x, w, stride, pad):
@@ -60,6 +73,64 @@ class TestIm2Col:
         x = rng.normal(size=(1, 1, 5, 5))
         cols, oh, ow = im2col(x, 1, 1, 1, 0)
         np.testing.assert_array_equal(cols.reshape(5, 5), x[0, 0])
+
+    def test_empty_batch(self):
+        cols, oh, ow = im2col(np.zeros((0, 2, 5, 5), np.float32), 3, 3, 1, 1)
+        assert cols.shape == (0, 18) and (oh, ow) == (5, 5)
+
+
+def _layout(x: np.ndarray, kind: str) -> np.ndarray:
+    """The same values as ``x`` under a different memory layout."""
+    if kind == "fortran":
+        return np.asfortranarray(x)
+    if kind == "strided":  # every other element of a twice-as-wide array
+        wide = np.repeat(x, 2, axis=3)
+        return wide[..., ::2]
+    if kind == "reversed":  # a negative-stride view holding x's values
+        return np.ascontiguousarray(x[:, :, ::-1])[:, :, ::-1]
+    return x
+
+
+@st.composite
+def _unfold_cases(draw):
+    n, c = draw(st.integers(1, 8)), draw(st.integers(1, 16))
+    kh, kw = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    stride, pad = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    h = max(1, kh - 2 * pad) + draw(st.integers(0, 7))
+    w = max(1, kw - 2 * pad) + draw(st.integers(0, 7))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, c, h, w)).astype(dtype)
+    specials = np.array([-0.0, np.nan, np.inf, -np.inf], dtype=dtype)
+    flat = x.reshape(-1)
+    for i in draw(st.lists(st.integers(0, flat.size - 1), max_size=6)):
+        flat[i] = specials[i % specials.size]
+    layout = draw(st.sampled_from(["c", "fortran", "strided", "reversed"]))
+    return _layout(x, layout), kh, kw, stride, pad
+
+
+class TestIm2ColOracle:
+    """The gather unfold equals the strided-view unfold bit for bit."""
+
+    @given(case=_unfold_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, case):
+        x, kh, kw, stride, pad = case
+        cols, oh, ow = im2col(x, kh, kw, stride, pad)
+        want, woh, wow = im2col_strided(x, kh, kw, stride, pad)
+        assert (oh, ow) == (woh, wow)
+        assert cols.shape == want.shape and cols.dtype == x.dtype
+        assert cols.flags.c_contiguous
+        assert cols.tobytes() == want.tobytes()
+
+    def test_input_not_written(self, rng):
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        before = x.copy()
+        cols, _, _ = im2col(x, 3, 3, 1, 1)
+        cols[...] = 7.0  # the columns are a copy, and the memo is not shared
+        assert np.array_equal(x, before)
+        again, _, _ = im2col(x, 3, 3, 1, 1)
+        assert again.tobytes() == im2col_strided(x, 3, 3, 1, 1)[0].tobytes()
 
 
 class TestCol2Im:
