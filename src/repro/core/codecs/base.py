@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import CodecError, IntegrityError
 
-__all__ = ["Codec", "CompressedBlob", "CodecError"]
+__all__ = ["Codec", "CompressedBlob", "CodecError", "stream_mse"]
 
 #: blob ``meta`` key holding the payload CRC32 (see ``repro.resilience``)
 CHECKSUM_KEY = "crc32"
@@ -205,13 +205,23 @@ class Codec:
     # -- metrics --------------------------------------------------------------
     def reconstruction_mse(self, blob: CompressedBlob, original: np.ndarray) -> float:
         """MSE of ``decode(blob)`` against the original stream (Tab. II)."""
-        w = np.asarray(original, dtype=np.float64).ravel()
-        if w.size == 0:
-            return 0.0
-        approx = np.asarray(self.decode(blob), dtype=np.float64).ravel()
-        if approx.size != w.size:
-            raise CodecError(
-                f"blob encodes {approx.size} weights, original has {w.size}"
-            )
-        diff = approx - w
-        return float(np.mean(diff * diff))
+        return stream_mse(self.decode(blob), original)
+
+
+def stream_mse(decoded: np.ndarray, original: np.ndarray) -> float:
+    """MSE of a decoded stream against the original, in float64.
+
+    The one MSE formula: :meth:`Codec.reconstruction_mse` applies it to
+    a fresh decode, and a caller that already holds the decoded weights
+    applies it directly instead of decoding twice.
+    """
+    w = np.asarray(original, dtype=np.float64).ravel()
+    if w.size == 0:
+        return 0.0
+    approx = np.asarray(decoded, dtype=np.float64).ravel()
+    if approx.size != w.size:
+        raise CodecError(
+            f"blob encodes {approx.size} weights, original has {w.size}"
+        )
+    diff = approx - w
+    return float(np.mean(diff * diff))

@@ -35,6 +35,7 @@ from ..runtime import (
     run_tasks,
 )
 from .codecs import Codec, CompressedBlob, get_codec
+from .codecs.base import stream_mse
 from .compression import StorageFormat
 from .layer_selection import select_layer_model
 
@@ -203,7 +204,7 @@ class CompressionPipeline:
                     blob = codec.encode(original.ravel())
                 with o.span("pipeline.decode", cat="pipeline"):
                     approx = codec.decode(blob).reshape(original.shape)
-                    mse = codec.reconstruction_mse(blob, original.ravel())
+                    mse = stream_mse(approx, original)
                 self.model.set_weights(self.layer_name, approx)
                 with o.span("pipeline.evaluate", cat="pipeline"):
                     result = evaluate(self.model, self.x_test, self.y_test)

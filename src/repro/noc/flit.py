@@ -56,9 +56,6 @@ class Packet:
     pid: int = field(default_factory=lambda: next(_packet_ids))
     injected_cycle: int = -1
     delivered_cycle: int = -1
-    #: set by fault injection when any of the packet's flits was hit in
-    #: flight or its data was corrupted at the memory interface
-    corrupted: bool = False
 
     @property
     def num_flits(self) -> int:

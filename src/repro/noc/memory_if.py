@@ -64,16 +64,9 @@ class ReadJob:
 
 
 class MemoryInterface(Node):
-    def __init__(
-        self, node_id: int, config: DramConfig | None = None, faults=None
-    ) -> None:
+    def __init__(self, node_id: int, config: DramConfig | None = None) -> None:
         super().__init__(node_id)
         self.config = config if config is not None else DramConfig()
-        #: optional FlitFaultInjector-protocol object; rolls
-        #: ``corrupt_hop()`` once per staged packet, modeling soft errors
-        #: in the DRAM read path before the data ever enters the mesh
-        self.faults = faults
-        self.packets_corrupted = 0
         self._read_queue: deque[ReadJob] = deque()
         self._write_queue: deque[int] = deque()  # byte counts
         self._busy_until = 0
@@ -142,9 +135,6 @@ class MemoryInterface(Node):
                     traffic_class=job.traffic_class,
                     tag=job.tag,
                 )
-                if self.faults is not None and self.faults.corrupt_hop():
-                    packet.corrupted = True
-                    self.packets_corrupted += 1
                 self._staged.append((release_cycle, packet))
                 remaining -= n
 

@@ -36,19 +36,11 @@ tests in ``tests/noc/test_fastpath.py``):
   default ("step me every cycle") keeps arbitrary node subclasses
   correct.
 
-Active routers are visited in ascending node-id order — the same order
-as the reference full scan — so fault-injection RNG draws happen in an
-identical sequence and seeded campaigns reproduce bit-for-bit on either
-stepper.
-
-Fault injection: construct with ``faults=`` (any object with the
-``corrupt_hop()`` / ``drop_packet()`` protocol of
-:class:`repro.resilience.FlitFaultInjector`).  Each link traversal rolls
-``corrupt_hop()`` — a hit marks the flit's packet ``corrupted`` (data
-damaged in flight; delivery proceeds, mirroring a NoC without link-level
-retransmission) — and each packet rolls ``drop_packet()`` at injection,
-a hit silently discarding it at the source NIC.  Both outcomes are
-counted in :class:`NocStats`.
+Busy NICs, active routers and due nodes are visited in ascending order
+(node id, or attachment index for nodes) — the order of the reference
+full scan — so deliveries, and the node callbacks and packets they set
+off, happen in the same sequence on either stepper, and the two can be
+compared event for event rather than only in their totals.
 """
 
 from __future__ import annotations
@@ -84,10 +76,6 @@ class Node:
             raise RuntimeError(
                 f"node {self.node_id} is not attached to a simulator"
             )
-        faults = sim.faults
-        if faults is not None and faults.drop_packet():
-            sim.stats.packets_dropped += 1
-            return
         sim.nics[self.node_id].enqueue(packet, cycle)
         sim._busy_nics.add(self.node_id)
         sim._inflight_flits += packet.num_flits
@@ -131,10 +119,6 @@ class NocStats:
     flits_delivered: int = 0
     payload_bytes: Counter[str] = field(default_factory=Counter)
     latency_sum: int = 0
-    #: fault-injection outcomes (zero without an injector)
-    flits_corrupted: int = 0
-    packets_dropped: int = 0
-    packets_corrupted: int = 0
     #: PE datapath cycles hidden under input fetch by streamed decode
     #: (zero unless a PETask runs with ``streamed=True``)
     decode_overlap_cycles: int = 0
@@ -144,8 +128,6 @@ class NocStats:
         self.flits_delivered += packet.num_flits
         self.payload_bytes[str(packet.traffic_class)] += packet.payload_bytes
         self.latency_sum += packet.latency
-        if packet.corrupted:
-            self.packets_corrupted += 1
 
     @property
     def mean_packet_latency(self) -> float:
@@ -153,7 +135,7 @@ class NocStats:
 
 
 class NocSimulator:
-    def __init__(self, mesh: Mesh | None = None, faults=None) -> None:
+    def __init__(self, mesh: Mesh | None = None) -> None:
         self.mesh = mesh or Mesh()
         num_vcs = self.mesh.num_vcs
         self.nics = [
@@ -166,9 +148,6 @@ class NocSimulator:
         self._node_list: list[Node] = []
         self.stats = NocStats()
         self.cycle = 0
-        #: optional FlitFaultInjector-protocol object (duck-typed so the
-        #: noc package stays importable without repro.resilience)
-        self.faults = faults
         # -- activity tracking (the fast path's whole point) -----------
         #: NIC ids with a non-empty injection queue
         self._busy_nics: set[int] = set()
@@ -304,8 +283,7 @@ class NocSimulator:
         Occupied routers whose ``poll_again_at`` hint lies in the future
         are skipped outright — the hint guarantees their ``plan_moves``
         would return no moves and make no observable state change, so
-        skipping cannot perturb the move sequence (or the fault RNG draw
-        order, which advances only on committed moves).  The commit path
+        skipping cannot perturb the move sequence.  The commit path
         inlines ``Router.accept`` / ``return_credit`` and accumulates
         the global counters in locals; both are flat per-flit costs that
         dominate profiles at saturation.
@@ -316,7 +294,7 @@ class NocSimulator:
         cycle = self.cycle
         routers = self.mesh.routers
         # two-phase: plan against cycle-start state (ascending id order,
-        # matching the reference scan so fault RNG draws line up) ...
+        # matching the reference scan so deliveries happen in its order) ...
         all_moves = None
         stalled = 0
         for rid in sorted(router_flits):
@@ -339,7 +317,6 @@ class NocSimulator:
         nics = self.nics
         nodes = self.nodes
         stats = self.stats
-        faults = self.faults
         link_flits = stats.link_flits
         hop_table = self._hop_info
         feed_table = self._feed_info
@@ -420,12 +397,6 @@ class NocSimulator:
                         router_flits.get(neighbor_id, 0) + 1
                     )
                     flit_hops += 1
-                    if faults is not None and faults.corrupt_hop():
-                        # link-level data damage: the flit train still
-                        # flows (wormhole reservations must drain), but
-                        # the payload arrives poisoned
-                        flit.packet.corrupted = True
-                        stats.flits_corrupted += 1
                     link_flits[link_key] += 1
                     buffer_writes += 1
                 # return the credit upstream (the feeder of in_port);
@@ -475,8 +446,8 @@ class NocSimulator:
                     # had a live entry) cannot step the node twice
                     wake[idx] = -1
                     due.append(idx)
-            # attachment order — the reference stepper's order, so any
-            # RNG drawn inside node steps (fault drop rolls) lines up
+            # attachment order — the reference stepper's order, so
+            # packets sent from node steps are created in its sequence
             due.sort()
             for idx in due:
                 node = nodes[idx]
@@ -540,9 +511,6 @@ class NocSimulator:
                         )
                     self.mesh.routers[neighbor_id].accept(flit, OPPOSITE[out_port], cycle)
                     self.stats.flit_hops += 1
-                    if self.faults is not None and self.faults.corrupt_hop():
-                        flit.packet.corrupted = True
-                        self.stats.flits_corrupted += 1
                     self.stats.link_flits[(router.node_id, out_port)] += 1
                     self.stats.buffer_writes += 1
                 if in_port != LOCAL:
@@ -623,8 +591,6 @@ class NocSimulator:
         ("flit_hops", "noc.flits.hops"),
         ("flits_delivered", "noc.flits.delivered"),
         ("packets_delivered", "noc.packets.delivered"),
-        ("packets_dropped", "noc.packets.dropped"),
-        ("flits_corrupted", "noc.flits.corrupted"),
         ("buffer_reads", "noc.buffer.reads"),
         ("buffer_writes", "noc.buffer.writes"),
         ("decode_overlap_cycles", "noc.decode.overlap_cycles"),

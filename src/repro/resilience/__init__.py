@@ -7,9 +7,8 @@ sub-succession — an error-amplification property this package makes
 measurable and defensible:
 
 * :mod:`~repro.resilience.inject` — deterministic, seeded fault
-  injectors: bit flips in payloads and raw weight streams, flit
-  corruption/drop for the NoC, crash/hang/kill injectors for runtime
-  pool workers;
+  injectors: bit flips in payloads and raw weight streams, and
+  crash/hang/kill injectors for runtime pool workers;
 * :mod:`~repro.resilience.degrade` — graceful-degradation decode:
   salvage the undamaged frames of a corrupted line-fit payload and
   zero-fill the rest, instead of losing the whole layer;
@@ -35,7 +34,6 @@ from .chaos import (
 from .degrade import DamageReport, decode_degraded
 from .inject import (
     BitFlipInjector,
-    FlitFaultInjector,
     crash,
     crash_once,
     digest,
@@ -48,7 +46,6 @@ __all__ = [
     "IntegrityError",
     "FaultError",
     "BitFlipInjector",
-    "FlitFaultInjector",
     "digest",
     "crash",
     "crash_once",

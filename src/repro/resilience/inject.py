@@ -1,17 +1,13 @@
 """Deterministic, seeded fault injectors.
 
-Three fault surfaces, one discipline — every injector is seeded, so the
-same ``(seed, rate)`` always damages the same bits/flits/tasks and a
-fault campaign is exactly reproducible (same corrupted-stream digests,
-same accuracy table):
+Two fault surfaces, one discipline — every injector is seeded, so the
+same ``(seed, rate)`` always damages the same bits/tasks and a fault
+campaign is exactly reproducible (same corrupted-stream digests, same
+accuracy table):
 
 * **storage/transport bits** — :class:`BitFlipInjector` flips bits in
   ``bytes`` payloads (compressed blobs) and NumPy weight arrays (raw
   storage) at a given bit-error rate;
-* **NoC flits** — :class:`FlitFaultInjector` decides, per link hop or
-  per injected packet, whether to corrupt or drop (wired into
-  :class:`repro.noc.simulator.NocSimulator` and
-  :class:`repro.noc.memory_if.MemoryInterface`);
 * **pool workers** — module-level, picklable crash/hang/kill task
   wrappers for :func:`repro.runtime.pool.run_tasks`.  The ``*_once``
   variants coordinate across processes through a sentinel file, so the
@@ -32,7 +28,6 @@ from ..core.errors import FaultError
 __all__ = [
     "digest",
     "BitFlipInjector",
-    "FlitFaultInjector",
     "crash",
     "crash_once",
     "hang_once",
@@ -94,43 +89,6 @@ class BitFlipInjector:
         if pos.size:
             np.bitwise_xor.at(view, pos >> 3, (0x80 >> (pos & 7)).astype(np.uint8))
         return out
-
-
-class FlitFaultInjector:
-    """Per-hop flit corruption and per-packet drop for the NoC.
-
-    ``corrupt_prob`` is evaluated once per link traversal (a flit
-    crossing R routers rolls R times, like a real multi-hop exposure);
-    ``drop_prob`` once per packet at injection.  Counters accumulate for
-    :class:`repro.noc.simulator.NocStats`-style reporting.
-    """
-
-    def __init__(
-        self, seed: int, corrupt_prob: float = 0.0, drop_prob: float = 0.0
-    ) -> None:
-        for name, p in (("corrupt_prob", corrupt_prob), ("drop_prob", drop_prob)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p}")
-        self.seed = int(seed)
-        self.corrupt_prob = float(corrupt_prob)
-        self.drop_prob = float(drop_prob)
-        self._rng = np.random.default_rng(self.seed)
-        self.flits_corrupted = 0
-        self.packets_dropped = 0
-
-    def corrupt_hop(self) -> bool:
-        """Roll for corruption of one flit crossing one link."""
-        if self.corrupt_prob and self._rng.random() < self.corrupt_prob:
-            self.flits_corrupted += 1
-            return True
-        return False
-
-    def drop_packet(self) -> bool:
-        """Roll for loss of one packet at injection time."""
-        if self.drop_prob and self._rng.random() < self.drop_prob:
-            self.packets_dropped += 1
-            return True
-        return False
 
 
 # -- pool-worker fault tasks (module-level: picklable) ------------------------

@@ -14,8 +14,8 @@ execute:
   consulted *before* dispatch so warm sweeps run zero tasks;
 * :class:`RunPolicy` is the fault handling every :func:`run_tasks` call
   runs under (``RunPolicy()`` by default): per-task timeouts, bounded
-  retry with backoff, ``BrokenProcessPool`` recovery via serial
-  re-dispatch, and partial-result salvage;
+  retry with backoff, and ``BrokenProcessPool`` recovery via serial
+  re-dispatch;
 * a ``metrics=`` :class:`repro.obs.MetricsRegistry` counts tasks run,
   cache hits, and in-task seconds, and :func:`format_summary` renders
   the footer experiments print so you can see what was skipped;

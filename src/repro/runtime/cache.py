@@ -150,62 +150,6 @@ class ResultCache:
             except OSError:
                 pass
 
-    def merge(self, other: "ResultCache | str | Path") -> dict[str, int]:
-        """Fold another cache's entries into this one, byte for byte.
-
-        The workflow this serves: N workers sweep into N *separate*
-        cache dirs (no shared filesystem), then one process merges them
-        and the union is indistinguishable from a single-cache run.
-        Raw entry bytes are copied (atomic temp + ``os.replace``), so a
-        merged entry is byte-identical to its source; an entry already
-        present locally is skipped (same key ⇒ same content, and
-        skipping preserves whatever bytes a concurrent reader may have
-        mapped).  Unreadable source entries — truncated JSON, a
-        filename that disagrees with the recorded key, an undecodable
-        document — are quarantined *in the source tree* and never
-        imported, the same stance :meth:`get` takes locally.
-
-        Returns ``{"merged": .., "skipped": .., "corrupt": ..}``.
-        """
-        src_root = Path(other.root if isinstance(other, ResultCache) else other)
-        counts = {"merged": 0, "skipped": 0, "corrupt": 0}
-        for src in sorted(src_root.glob("??/*.json")):
-            key = src.stem
-            try:
-                raw = src.read_bytes()
-                doc = json.loads(raw)
-                if doc.get("key") != key:
-                    raise ValueError("entry/key filename mismatch")
-                decode(doc["value"])
-            except (OSError, ValueError, KeyError, TypeError, AttributeError):
-                try:
-                    os.replace(src, src.with_suffix(".corrupt"))
-                except OSError:
-                    pass
-                counts["corrupt"] += 1
-                obs.current().count("cache.merge_corrupt")
-                continue
-            dest = self._path(key)
-            if dest.exists():
-                counts["skipped"] += 1
-                continue
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=dest.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as f:
-                    f.write(raw)
-                    f.flush()
-                    os.fsync(f.fileno())
-                os.replace(tmp, dest)
-                counts["merged"] += 1
-                obs.current().count("cache.merged")
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        return counts
-
     def counters(self) -> dict[str, int]:
         return {
             "cache_hits": self.hits,

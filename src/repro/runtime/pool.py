@@ -23,18 +23,16 @@ Every run goes through one fault-tolerant executor under a
 timeouts (a hung worker no longer wedges the sweep), bounded retry with
 exponential backoff, ``BrokenProcessPool`` recovery (a killed worker's
 unfinished tasks re-dispatch serially, completed results are salvaged
-from the abandoned pool), and optional partial-result salvage
-(``salvage=True`` turns an exhausted task into a ``None`` slot instead
-of an exception).  The default policy grants no retries, so the first
-task exception, in task order, propagates unchanged.
+from the abandoned pool).  A task that exhausts its attempts raises; the
+default policy grants no retries, so the first task exception, in task
+order, propagates unchanged.
 
 Accounting: ``metrics=`` takes a :class:`repro.obs.MetricsRegistry`
 that the run adds its counters to — ``tasks``, ``tasks_run``,
 ``cache_hits``, ``task_seconds`` (successful attempts only),
 ``wall_seconds``, and the fault counters ``task_failed_seconds`` /
-``task_retries`` / ``task_timeouts`` / ``pool_restarts`` /
-``tasks_failed``.  :func:`format_summary` renders them as the footer
-the CLIs print.
+``task_retries`` / ``task_timeouts`` / ``pool_restarts``.
+:func:`format_summary` renders them as the footer the CLIs print.
 
 Observability: when the ambient :class:`repro.obs.Obs` scope is
 enabled, every attempt (serial or pooled) runs under a fresh capture
@@ -65,9 +63,6 @@ from ..obs import MetricsRegistry
 from .cache import MISS, ResultCache
 
 __all__ = ["GridTask", "RunPolicy", "default_jobs", "format_summary", "run_tasks"]
-
-#: marks a task that exhausted its attempts under ``salvage=True``
-_FAILED = object()
 
 #: the footer's leading counters, always printed (0 when absent)
 _SUMMARY_NAMES = ("tasks", "tasks_run", "cache_hits", "task_seconds", "wall_seconds")
@@ -131,11 +126,6 @@ class RunPolicy:
         for reproducible schedules; ``backoff=0`` stays 0 regardless.
     jitter_seed:
         Seed of the jitter RNG (``None`` = fresh OS entropy per run).
-    salvage:
-        With ``True``, a task that exhausts every attempt yields
-        ``None`` in the result list (and a ``tasks_failed`` count)
-        instead of raising — the sweep completes on the surviving grid
-        points.
     """
 
     timeout: float | None = None
@@ -144,7 +134,6 @@ class RunPolicy:
     max_backoff: float | None = None
     jitter: bool = False
     jitter_seed: int | None = None
-    salvage: bool = False
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -255,9 +244,6 @@ def _serial_attempts(
         # task_seconds, which counts only successful work)
         metrics.counter("task_failed_seconds").add(seconds)
         exc = payload
-    if policy.salvage:
-        metrics.counter("tasks_failed").add()
-        return _FAILED, 0.0, None
     raise exc
 
 
@@ -360,7 +346,7 @@ def run_tasks(
 ) -> list[Any]:
     """Run a grid, in order, with optional parallelism and caching.
 
-    ``policy`` sets the fault handling (timeouts, retries, salvage; see
+    ``policy`` sets the fault handling (timeouts, retries, backoff; see
     :class:`RunPolicy`).  ``None`` means ``RunPolicy()``: no task is
     retried and the first task exception, in task order, propagates,
     while a killed worker's unfinished tasks still re-dispatch
@@ -415,8 +401,6 @@ def run_tasks(
             outcomes = _run_pending(tasks, pending, jobs, policy, metrics, o.enabled)
             for i in pending:
                 result, seconds, export = outcomes[i]
-                if result is _FAILED:
-                    continue  # salvage mode: leave the slot as None, never cache
                 if export is not None:
                     o.adopt(export, tid=i + 1, track_name=f"task {i}")
                 o.observe("pool.task_run_seconds", seconds)

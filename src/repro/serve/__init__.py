@@ -18,7 +18,7 @@ pieces, in request order:
 * :class:`~repro.serve.fleet.ReplicaFleet` — N supervised worker
   processes behind one typed ``submit``: health probes, crash/hang
   detection, capped-jittered-backoff restarts
-  (:mod:`~repro.serve.supervisor`), and retry/hedge routing with
+  (:mod:`~repro.serve.supervisor`), and retry routing with
   per-replica circuit breakers (:mod:`~repro.serve.router`).
 
 Guarantees worth naming: every request gets exactly one typed reply

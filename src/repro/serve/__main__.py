@@ -8,7 +8,7 @@ interrupted; with ``--client HOST:PORT`` it plays the demo client
 against a running server.
 
 ``--replicas N`` runs the supervised fleet demo instead: N worker
-processes serving the tiny bench archive behind the retry/hedge router,
+processes serving the tiny bench archive behind the retry router,
 driven by the same concurrent load.  ``--chaos kill`` SIGKILLs one
 replica mid-load (``--chaos corrupt`` additionally bit-flips the
 archive file first) and the summary reports availability, restarts and

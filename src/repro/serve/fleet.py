@@ -5,7 +5,7 @@ a :class:`~repro.serve.supervisor.ReplicaSupervisor` keeping N worker
 processes alive (probes, restarts with capped jittered backoff, per-
 replica circuit breakers) and a :class:`~repro.serve.router.FleetRouter`
 resolving every request to exactly one typed reply across whatever is
-healthy (balance, retry-on-another-replica, optional hedging).
+healthy (balance, retry-on-another-replica, circuit breakers).
 
 The model rides into each worker as a *recipe*, not an object: a
 picklable module-level ``factory(**factory_kwargs) -> ServedModel``.
@@ -82,10 +82,6 @@ class FleetConfig:
         (``policy.timeout`` seconds, the service's semantics).
     max_attempts:
         Distinct routing attempts per request (first try + retries).
-    hedge_after_s:
-        ``None`` disables hedging; otherwise a request unanswered this
-        long fires a duplicate at a second replica and the first ``Ok``
-        wins.
     breaker_threshold / breaker_reset_s:
         Circuit-breaker trip streak and open-state cooldown.
     deadline_grace_s:
@@ -113,7 +109,6 @@ class FleetConfig:
     backoff_reset_s: float = 30.0
     policy: RunPolicy = field(default_factory=lambda: RunPolicy(timeout=1.0))
     max_attempts: int = 3
-    hedge_after_s: float | None = None
     breaker_threshold: int = 5
     breaker_reset_s: float = 1.0
     deadline_grace_s: float = 0.25
@@ -129,10 +124,6 @@ class FleetConfig:
         if self.fail_threshold < 1:
             raise ValueError(
                 f"fail_threshold must be >= 1, got {self.fail_threshold}"
-            )
-        if self.hedge_after_s is not None and self.hedge_after_s < 0:
-            raise ValueError(
-                f"hedge_after_s must be >= 0, got {self.hedge_after_s}"
             )
 
 

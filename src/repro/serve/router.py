@@ -1,4 +1,4 @@
-"""Client-facing routing across replicas: balance, retry, hedge.
+"""Client-facing routing across replicas: balance, retry, breakers.
 
 The router is the second half of the fleet's availability story — the
 supervisor keeps replicas *existing*, the router keeps requests
@@ -11,15 +11,11 @@ supervisor keeps replicas *existing*, the router keeps requests
   is retried on a *different* replica while the request's deadline
   budget lasts; ``Overloaded`` sheds retry the same way, since a
   sibling replica may have queue room;
-* **hedging** — optionally, a request still unanswered after
-  ``hedge_after_s`` fires a second copy at another replica and the
-  first ``Ok`` wins (the loser's reply is discarded), trading duplicate
-  compute for tail latency;
 * **breaker** — consecutive failures open a replica's breaker
   (closed -> open), which sheds it from routing until ``reset_after``
-  elapses; the first trial request in half-open state closes it again
-  on success.  A breaker bounds how long a sick-but-probe-passing
-  replica can eat retries.
+  elapses; half-open, it admits one trial request, whose success closes
+  it again.  A breaker bounds how long a sick-but-probe-passing replica
+  can eat retries.
 
 The contract the in-process service established survives end to end:
 ``submit`` always resolves to exactly one typed
@@ -36,7 +32,7 @@ import time
 import numpy as np
 
 from .. import obs
-from .replies import DeadlineExceeded, Failed, Ok, Overloaded, Reply
+from .replies import DeadlineExceeded, Failed, Ok, Reply
 from .server import DEFAULT_MAX_LINE_BYTES, doc_to_reply
 
 __all__ = ["CircuitBreaker", "ReplicaClient", "FleetRouter"]
@@ -51,7 +47,8 @@ class CircuitBreaker:
     ``failure_threshold`` consecutive failures open the breaker; after
     ``reset_after`` seconds it goes half-open and admits one trial
     request — success closes it, failure re-opens it (and restarts the
-    clock).  Time is injectable for tests.
+    clock).  Until the trial's result is recorded, the breaker admits
+    nothing else.  Time is injectable for tests.
     """
 
     def __init__(
@@ -73,28 +70,43 @@ class CircuitBreaker:
         self.failures = 0
         self.opened_at: float | None = None
         self.trips = 0  # closed -> open transitions
+        #: half-open only: the trial request has been routed here and
+        #: its result is not yet recorded
+        self.trial_out = False
 
     def reset(self) -> None:
         """Back to pristine closed (a fresh process behind the handle)."""
         self.state = CLOSED
         self.failures = 0
         self.opened_at = None
+        self.trial_out = False
 
     def allow(self) -> bool:
         """May a request be routed here right now?
 
         In the open state this is also the half-open transition: once
         ``reset_after`` has elapsed, the first ``allow()`` flips to
-        half-open and admits the trial request.
+        half-open.  Asking does not use up the trial — only
+        :meth:`admit` does — so a router may ask every replica at every
+        pick.
         """
         if self.state == CLOSED:
             return True
         if self.state == OPEN:
-            if self._clock() - self.opened_at >= self.reset_after:
-                self.state = HALF_OPEN
-                return True
-            return False
-        return True  # HALF_OPEN: the trial request is in flight
+            if self._clock() - self.opened_at < self.reset_after:
+                return False
+            self.state = HALF_OPEN
+        return not self.trial_out
+
+    def admit(self) -> None:
+        """A request is routed here; half-open, it is the one trial."""
+        if self.state == HALF_OPEN:
+            self.trial_out = True
+
+    def release(self) -> None:
+        """An admitted request ended with no result to record (it was
+        cancelled or never sent): the trial goes to the next request."""
+        self.trial_out = False
 
     def record_success(self) -> None:
         if self.state == HALF_OPEN:
@@ -107,6 +119,7 @@ class CircuitBreaker:
             # the trial failed: straight back to open, clock restarted
             self.state = OPEN
             self.opened_at = self._clock()
+            self.trial_out = False
             return
         self.failures += 1
         if self.state == CLOSED and self.failures >= self.failure_threshold:
@@ -228,17 +241,6 @@ class ReplicaClient:
         self._fail_pending(ConnectionError("replica client closed"))
 
 
-def _preference(reply: Reply) -> int:
-    """Rank for picking the least-degraded of several typed replies."""
-    if isinstance(reply, Ok):
-        return 0
-    if isinstance(reply, DeadlineExceeded):
-        return 1
-    if isinstance(reply, Overloaded):
-        return 2
-    return 3  # Failed
-
-
 class FleetRouter:
     """Route one request to a typed reply across whatever is healthy.
 
@@ -256,7 +258,6 @@ class FleetRouter:
         self.ok = 0
         self.degraded = 0
         self.retries = 0
-        self.hedges = 0
         self.transport_errors = 0
         self.exhausted = 0
 
@@ -268,11 +269,15 @@ class FleetRouter:
         return preferred or ready
 
     def _pick(self, exclude: set[int]):
+        """Round-robin over the candidates; the pick is admitted by its
+        breaker, so a half-open replica's trial goes to this request."""
         cands = self._candidates(exclude)
         if not cands:
             return None
         self._rr += 1
-        return cands[self._rr % len(cands)]
+        r = cands[self._rr % len(cands)]
+        r.breaker.admit()
+        return r
 
     async def _pick_waiting(self, exclude: set[int], budget_end: float | None):
         """Pick a replica, waiting out a no-replica window if needed."""
@@ -327,7 +332,7 @@ class FleetRouter:
             if attempt:
                 self.retries += 1
                 o.count("serve.fleet.retries")
-            reply = await self._attempt_hedged(r, payload, deadline_s, budget_end, tried)
+            reply = await self._attempt(r, payload, budget_end)
             if isinstance(reply, Ok):
                 self.ok += 1
                 o.count("serve.fleet.ok")
@@ -346,47 +351,6 @@ class FleetRouter:
             reply = last if last is not None else Failed(error="retry budget exhausted")
         return reply
 
-    async def _attempt_hedged(
-        self,
-        replica,
-        payload: list,
-        deadline_s: float | None,
-        budget_end: float | None,
-        tried: set[int],
-    ) -> Reply:
-        """One attempt, optionally shadowed by a hedge on a second replica."""
-        hedge_after = self.config.hedge_after_s
-        first = asyncio.ensure_future(
-            self._attempt(replica, payload, budget_end)
-        )
-        if hedge_after is None:
-            return await first
-        done, _ = await asyncio.wait({first}, timeout=hedge_after)
-        if done:
-            return first.result()
-        other = self._pick(tried | {replica.index})
-        if other is None or other.index == replica.index:
-            return await first
-        self.hedges += 1
-        obs.current().count("serve.fleet.hedges")
-        second = asyncio.ensure_future(self._attempt(other, payload, budget_end))
-        tasks = {first, second}
-        results: list[Reply] = []
-        try:
-            while tasks:
-                done, tasks = await asyncio.wait(
-                    tasks, return_when=asyncio.FIRST_COMPLETED
-                )
-                for t in done:
-                    reply = t.result()
-                    if isinstance(reply, Ok):
-                        return reply
-                    results.append(reply)
-            return min(results, key=_preference)
-        finally:
-            for t in tasks:
-                t.cancel()
-
     async def _attempt(self, replica, payload: list, budget_end: float | None) -> Reply:
         """One wire round trip to one replica, mapped to a typed reply."""
         doc: dict = {"input": payload}
@@ -394,6 +358,7 @@ class FleetRouter:
         if budget_end is not None:
             remaining = budget_end - time.perf_counter()
             if remaining <= 0:
+                replica.breaker.release()
                 return DeadlineExceeded(
                     deadline_s=0.0, waited_s=0.0, executed=False
                 )
@@ -409,6 +374,7 @@ class FleetRouter:
             out = await replica.client.request(doc, timeout)
             reply = doc_to_reply(out)
         except asyncio.CancelledError:
+            replica.breaker.release()
             raise
         except (ConnectionError, OSError, TimeoutError, asyncio.TimeoutError) as e:
             self.transport_errors += 1
@@ -434,7 +400,6 @@ class FleetRouter:
             "ok": self.ok,
             "degraded": self.degraded,
             "retries": self.retries,
-            "hedges": self.hedges,
             "transport_errors": self.transport_errors,
             "exhausted": self.exhausted,
         }

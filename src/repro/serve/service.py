@@ -76,12 +76,6 @@ class ServeConfig:
     max_queue:
         Admission bound; requests arriving with this many already
         queued are shed with :class:`~repro.serve.replies.Overloaded`.
-    batch_window:
-        Seconds the batcher lingers after the first request of a batch
-        to let stragglers join.  ``0`` (the default) batches only what
-        is already queued — lowest latency, and under sustained load
-        batches fill anyway because requests queue up while the
-        previous batch computes.
     policy:
         Default per-request deadline (``policy.timeout`` seconds from
         submission, same semantics as the sweep pool); a per-request
@@ -90,7 +84,6 @@ class ServeConfig:
 
     max_batch: int = 32
     max_queue: int = 128
-    batch_window: float = 0.0
     policy: RunPolicy = field(default_factory=lambda: RunPolicy(timeout=1.0))
 
     def __post_init__(self) -> None:
@@ -98,10 +91,6 @@ class ServeConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {self.batch_window}"
-            )
 
 
 class _Pending:
@@ -257,21 +246,14 @@ class InferenceService:
         return batch
 
     async def _batch_loop(self) -> None:
+        # no await between popping ``first`` and the shielded forward in
+        # _run_batch: a stop() cancellation lands either while nothing is
+        # popped (stop() drains the queue) or mid-forward (the batch
+        # settles with its results before the cancellation propagates)
         cfg = self.config
         while True:
             first = await self._queue.get()
-            try:
-                if cfg.batch_window > 0:
-                    await asyncio.sleep(cfg.batch_window)
-            except asyncio.CancelledError:
-                # stop() cancelled us with `first` already popped off the
-                # queue — stop()'s drain loop can't see it, so settle it
-                # (and anything queued behind it) here or the client
-                # awaiting submit() hangs forever.
-                await self._run_batch([first, *self._drain(cfg.max_batch - 1)])
-                raise
-            batch = [first, *self._drain(cfg.max_batch - 1)]
-            await self._run_batch(batch)
+            await self._run_batch([first, *self._drain(cfg.max_batch - 1)])
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
         o = obs.current()

@@ -3,12 +3,11 @@
 The activity-tracked, cycle-skipping stepper (:meth:`NocSimulator.step`)
 must be *observationally identical* to the naive reference stepper
 (:meth:`NocSimulator.step_reference`): every :class:`NocStats` field —
-cycle count, hop/buffer counters, the per-link flit census, latency sum,
-and the fault counters — must match exactly on the same workload with
-the same seeds.  These tests pin that equivalence for every traffic
-source the repo has: synthetic pattern sweeps, a real scheduled layer
-(memory interfaces + processing elements), seeded fault injection, and
-the multi-VC allocator.
+cycle count, hop/buffer counters, the per-link flit census, latency sum
+and decode overlap — must match exactly on the same workload with the
+same seeds.  These tests pin that equivalence for every traffic source
+the repo has: synthetic pattern sweeps, a real scheduled layer (memory
+interfaces + processing elements), and the multi-VC allocator.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from repro.noc import (
 )
 from repro.noc import flit as flit_mod
 from repro.noc.patterns import PatternNode, transpose, uniform_random
-from repro.resilience import FlitFaultInjector
 
 #: every scalar field of NocStats (link_flits / payload_bytes are
 #: Counters, compared separately)
@@ -43,9 +41,6 @@ SCALAR_FIELDS = (
     "packets_delivered",
     "flits_delivered",
     "latency_sum",
-    "flits_corrupted",
-    "packets_dropped",
-    "packets_corrupted",
     "decode_overlap_cycles",
 )
 
@@ -93,11 +88,11 @@ def test_pattern_sweep_matches_reference(pattern, rate):
 # -- a real scheduled layer ---------------------------------------------------
 
 
-def _layer_run(*, reference, faults=None):
+def _layer_run(*, reference):
     _reset_packet_ids()
     acc = Accelerator()
     sched = acc.schedule_layer(zoo.lenet5.full().layer("dense_1"))
-    sim = NocSimulator(Mesh(4, 4), faults=faults)
+    sim = NocSimulator(Mesh(4, 4))
     mcs = {c: MemoryInterface(c) for c in sim.mesh.corner_ids()}
     for mc in mcs.values():
         sim.attach_node(mc)
@@ -139,46 +134,6 @@ def test_run_model_flit_matches_reference():
         assert fl.latency == rl.latency, fl.layer_name
         assert fl.events == rl.events, fl.layer_name
         assert fl.energy == rl.energy, fl.layer_name
-
-
-def test_seeded_fault_injection_matches_reference():
-    """The fault RNG draw order is part of the behavioral contract.
-
-    Corruption rolls happen once per committed link traversal, in
-    commit order; drops happen at injection.  The fast path must
-    preserve both orders exactly, so identical seeds give identical
-    fault counters — not merely statistically similar ones.
-    """
-    fast = _layer_run(
-        reference=False,
-        faults=FlitFaultInjector(seed=11, corrupt_prob=0.003, drop_prob=0.01),
-    )
-    ref = _layer_run(
-        reference=True,
-        faults=FlitFaultInjector(seed=11, corrupt_prob=0.003, drop_prob=0.01),
-    )
-    assert fast.flits_corrupted > 0, "campaign too quiet to be a real check"
-    assert_stats_equal(fast, ref)
-
-
-def test_pattern_fault_injection_matches_reference():
-    def run(reference):
-        _reset_packet_ids()
-        mesh = Mesh()
-        sim = NocSimulator(
-            mesh, faults=FlitFaultInjector(seed=5, corrupt_prob=0.01, drop_prob=0.05)
-        )
-        for i in range(mesh.num_nodes):
-            sim.attach_node(
-                PatternNode(
-                    i, mesh.num_nodes, uniform_random, rate=0.08, duration=300, seed=9
-                )
-            )
-        return sim.run(max_cycles=100_000, reference=reference)
-
-    fast, ref = run(False), run(True)
-    assert fast.packets_dropped > 0
-    assert_stats_equal(fast, ref)
 
 
 # -- allocator variants -------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from repro.core.errors import FaultError
 from repro.resilience import (
     BitFlipInjector,
-    FlitFaultInjector,
     crash,
     crash_once,
     digest,
@@ -75,31 +74,6 @@ class TestBitFlipInjector:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError, match="bit-error rate"):
             BitFlipInjector(seed=0, ber=1.5)
-
-
-class TestFlitFaultInjector:
-    def test_deterministic_roll_sequence(self):
-        a = FlitFaultInjector(seed=11, corrupt_prob=0.3, drop_prob=0.3)
-        b = FlitFaultInjector(seed=11, corrupt_prob=0.3, drop_prob=0.3)
-        rolls_a = [(a.corrupt_hop(), a.drop_packet()) for _ in range(200)]
-        rolls_b = [(b.corrupt_hop(), b.drop_packet()) for _ in range(200)]
-        assert rolls_a == rolls_b
-        assert a.flits_corrupted == b.flits_corrupted > 0
-        assert a.packets_dropped == b.packets_dropped > 0
-
-    def test_zero_probability_never_fires(self):
-        inj = FlitFaultInjector(seed=1)
-        assert not any(inj.corrupt_hop() or inj.drop_packet() for _ in range(100))
-        assert inj.flits_corrupted == 0 and inj.packets_dropped == 0
-
-    def test_unit_probability_always_fires(self):
-        inj = FlitFaultInjector(seed=1, corrupt_prob=1.0, drop_prob=1.0)
-        assert all(inj.corrupt_hop() for _ in range(10))
-        assert all(inj.drop_packet() for _ in range(10))
-
-    def test_invalid_probability_rejected(self):
-        with pytest.raises(ValueError, match="drop_prob"):
-            FlitFaultInjector(seed=0, drop_prob=-0.1)
 
 
 class TestPoolFaultTasks:

@@ -1,4 +1,4 @@
-"""Pool resilience: timeouts, retries, crash recovery, salvage.
+"""Pool resilience: timeouts, retries, crash recovery.
 
 Every scenario is driven by the deterministic injectors from
 ``repro.resilience`` (sentinel-file one-shot faults), so the tests need
@@ -47,7 +47,6 @@ class TestRunPolicyValidation:
         policy = RunPolicy()
         assert policy.timeout is None
         assert policy.retries == 0
-        assert not policy.salvage
         assert policy.max_backoff is None
         assert not policy.jitter
 
@@ -183,28 +182,6 @@ class TestRetry:
                 jobs=1,
                 policy=RunPolicy(),
             )
-
-
-class TestSalvage:
-    def test_exhausted_task_becomes_none_slot(self):
-        metrics = MetricsRegistry()
-        tasks = [GridTask(fn=crash, args=())] + _grid(3)
-        results = run_tasks(
-            tasks, jobs=1, metrics=metrics, policy=RunPolicy(salvage=True)
-        )
-        assert results == [None, 0, 1, 4]
-        assert metrics.value("tasks_failed") == 1
-        assert metrics.value("tasks_run") == 3
-
-    def test_failed_slots_never_cached(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache", enabled=True)
-        key = "f" * 64
-        tasks = [GridTask(fn=crash, args=(), key=key)]
-        results = run_tasks(
-            tasks, jobs=1, cache=cache, policy=RunPolicy(salvage=True)
-        )
-        assert results == [None]
-        assert cache.puts == 0
 
 
 class TestTimeout:

@@ -354,44 +354,6 @@ class TestShardedIdentity:
         assert run_sharded([], cache=cache) == []
 
 
-class TestCacheMerge:
-    def test_merged_dirs_equal_shared_dir(self, tmp_path):
-        """Workers sweeping into separate cache dirs, merged afterward,
-        produce the byte-identical result set of a shared-dir run."""
-        tasks = _grid(8)
-        shared = ResultCache(root=tmp_path / "shared", enabled=True)
-        run_tasks(tasks, jobs=1, cache=shared)
-
-        # two disjoint halves into two separate dirs
-        a = ResultCache(root=tmp_path / "a", enabled=True)
-        b = ResultCache(root=tmp_path / "b", enabled=True)
-        run_tasks(tasks[:4], jobs=1, cache=a)
-        run_tasks(tasks[4:], jobs=1, cache=b)
-
-        union = ResultCache(root=tmp_path / "union", enabled=True)
-        assert union.merge(a) == {"merged": 4, "skipped": 0, "corrupt": 0}
-        assert union.merge(b) == {"merged": 4, "skipped": 0, "corrupt": 0}
-        assert _entry_bytes(union.root) == _entry_bytes(shared.root)
-        # and the merged dir serves the grid fully warm
-        metrics = MetricsRegistry()
-        assert run_tasks(tasks, jobs=1, cache=union, metrics=metrics) == [
-            {"i": i, "sq": i * i} for i in range(8)
-        ]
-        assert metrics.value("cache_hits") == 8
-
-    def test_merge_skips_existing_and_quarantines_corrupt(self, tmp_path):
-        tasks = _grid(3)
-        src = ResultCache(root=tmp_path / "src", enabled=True)
-        run_tasks(tasks, jobs=1, cache=src)
-        # corrupt one source entry; pre-populate one key in the dest
-        src._path(tasks[0].key).write_text("not json")
-        dest = ResultCache(root=tmp_path / "dest", enabled=True)
-        run_tasks(tasks[1:2], jobs=1, cache=dest)
-        counts = dest.merge(src)
-        assert counts == {"merged": 1, "skipped": 1, "corrupt": 1}
-        assert src._path(tasks[0].key).with_suffix(".corrupt").exists()
-
-
 # -- shard-level metric merge commutativity ----------------------------------
 
 

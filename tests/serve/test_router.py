@@ -1,4 +1,4 @@
-"""FleetRouter + CircuitBreaker: retry, hedge, breaker state machine.
+"""FleetRouter + CircuitBreaker: retry, breaker state machine.
 
 The router is deliberately duck-typed over replica handles, so these
 tests drive it with in-process fakes — no sockets, no subprocesses, no
@@ -9,6 +9,7 @@ clock and never sleeps.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import numpy as np
 import pytest
@@ -271,34 +272,68 @@ class TestRouting:
         assert reps[0].client.calls <= 3
 
 
-class TestHedging:
-    def test_slow_first_attempt_hedges_and_fast_second_wins(self):
-        # round-robin picks replica 1 first (slow: 500 ms); the hedge
-        # fires after 50 ms at replica 0, which answers instantly
-        reps = [FakeReplica(0, ["ok"]), FakeReplica(1, [0.5])]
-        router = router_for(reps, hedge_after_s=0.05)
+class TestHalfOpenTrial:
+    """A half-open breaker admits one trial request until its result is
+    recorded; asking ``available()`` during a candidate scan does not
+    use the trial up."""
+
+    def fleet(self):
+        # replica 1 is half-open: round-robin's first pick over two
+        # candidates lands on index 1, so the first pick takes the trial
+        clock = FakeClock()
+        reps = [FakeReplica(0), FakeReplica(1)]
+        reps[1].breaker = CircuitBreaker(
+            failure_threshold=1, reset_after=1.0, clock=clock
+        )
+        reps[1].breaker.record_failure()
+        clock.advance(1.5)
+        return reps, router_for(reps), clock
+
+    def picks(self, router, n):
+        return [router._pick(set()).index for _ in range(n)]
+
+    def test_scans_leave_the_trial_available(self):
+        reps, router, _ = self.fleet()
+        for _ in range(5):
+            assert [r.index for r in router._candidates(set())] == [0, 1]
+        assert reps[1].breaker.state == HALF_OPEN
+        assert self.picks(router, 1) == [1]
+
+    def test_second_pick_skips_until_success_recorded(self):
+        reps, router, _ = self.fleet()
+        assert self.picks(router, 4) == [1, 0, 0, 0]
+        reps[1].breaker.record_success()
+        assert reps[1].breaker.state == CLOSED
+        assert sorted(self.picks(router, 2)) == [0, 1]
+
+    def test_second_pick_skips_until_failure_recorded(self):
+        reps, router, clock = self.fleet()
+        assert self.picks(router, 4) == [1, 0, 0, 0]
+        reps[1].breaker.record_failure()
+        assert reps[1].breaker.state == OPEN
+        assert self.picks(router, 2) == [0, 0]  # the cooldown restarted
+        clock.advance(1.0)
+        assert 1 in self.picks(router, 2)  # a fresh trial
+
+    def test_cancelled_trial_is_released(self):
+        reps, router, _ = self.fleet()
+        reps[1].client.script = [0.5]  # the trial would take 500 ms
 
         async def go():
-            t0 = asyncio.get_event_loop().time()
-            reply = await router.submit(X)
-            return reply, asyncio.get_event_loop().time() - t0
+            task = asyncio.ensure_future(router.submit(X))
+            await asyncio.sleep(0.05)  # the trial is in flight
+            assert not reps[1].available()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
 
-        reply, elapsed = run(go())
-        assert isinstance(reply, Ok)
-        assert router.hedges == 1
-        assert elapsed < 0.45  # did not wait out the slow attempt
+        run(go())
+        assert reps[1].breaker.state == HALF_OPEN and reps[1].available()
 
-    def test_fast_reply_never_hedges(self):
-        reps = [FakeReplica(0), FakeReplica(1)]
-        router = router_for(reps, hedge_after_s=0.2)
-        reply = run(router.submit(X))
-        assert isinstance(reply, Ok)
-        assert router.hedges == 0
-        assert reps[0].client.calls + reps[1].client.calls == 1
-
-    def test_single_replica_cannot_hedge(self):
-        reps = [FakeReplica(0, [0.15])]
-        router = router_for(reps, hedge_after_s=0.02)
-        reply = run(router.submit(X))
-        assert isinstance(reply, Ok)
-        assert router.hedges == 0
+    def test_expired_budget_releases_the_trial_unsent(self):
+        reps, router, _ = self.fleet()
+        r = router._pick(set())
+        assert r.index == 1 and not r.available()  # the trial is out
+        reply = run(router._attempt(r, [0.0], budget_end=time.perf_counter() - 1))
+        assert isinstance(reply, DeadlineExceeded) and not reply.executed
+        assert r.client.calls == 0 and r.available()

@@ -343,29 +343,6 @@ class TestReplies:
 
 
 class TestBatching:
-    def test_batch_window_coalesces_stragglers(self):
-        model = RecordingModel()
-
-        async def go():
-            svc = InferenceService(
-                model,
-                ServeConfig(
-                    max_batch=8,
-                    batch_window=0.08,
-                    policy=RunPolicy(timeout=None),
-                ),
-            )
-            async with svc:
-                tasks = []
-                for i in range(4):
-                    tasks.append(asyncio.ensure_future(svc.submit(mark(float(i)))))
-                    await asyncio.sleep(0.005)
-                return await asyncio.gather(*tasks)
-
-        replies = run(go())
-        assert all(isinstance(r, Ok) for r in replies)
-        assert model.batch_sizes == [4], "window should coalesce one batch"
-
     def test_max_batch_splits_oversized_load(self):
         model = RecordingModel()
 
@@ -406,25 +383,38 @@ class TestBatching:
 class TestStopRaces:
     """Regressions: stop()/cancellation must never strand a future."""
 
-    def test_stop_during_batch_window_settles_popped_request(self):
-        """The request the batcher popped before its window sleep was
-        invisible to stop()'s queue drain and hung its client forever."""
+    @pytest.mark.parametrize("turns", [0, 1, 2, 3])
+    def test_stop_after_burst_settles_each_request_once(self, turns):
+        """stop() lands ``turns`` event-loop turns after a burst is
+        queued: before the batcher resumes with its first pop, while a
+        forward is in flight, or between batches.  Every request still
+        resolves to its own typed reply, and the model sees every input
+        exactly once."""
         model = RecordingModel()
+        n = 8
 
         async def go():
             svc = InferenceService(
-                model,
-                ServeConfig(batch_window=0.5, policy=RunPolicy(timeout=None)),
+                model, ServeConfig(max_batch=3, policy=RunPolicy(timeout=None))
             )
             svc.start()
-            t = asyncio.ensure_future(svc.submit(mark(1.0)))
-            await asyncio.sleep(0.05)  # batcher popped it, sleeps in window
+            tasks = [
+                asyncio.ensure_future(svc.submit(mark(float(i))))
+                for i in range(n)
+            ]
+            await asyncio.sleep(0)  # every submit runs up to its enqueue
+            assert svc._queue.qsize() == n
+            for _ in range(turns):
+                await asyncio.sleep(0)
             await svc.stop()
-            return await asyncio.wait_for(t, timeout=5.0)
+            return svc, await asyncio.wait_for(asyncio.gather(*tasks), timeout=5.0)
 
-        reply = run(go())
-        assert isinstance(reply, Ok)
-        assert model.seen == [1.0]
+        svc, replies = run(go())
+        assert all(isinstance(r, Ok) for r in replies)
+        for i, r in enumerate(replies):
+            assert np.array_equal(r.output, mark(float(i)) * 2.0)
+        assert sorted(model.seen) == [float(i) for i in range(n)]
+        assert svc.ok == n and sum(model.batch_sizes) == n
 
     def test_stop_mid_forward_delivers_computed_result(self):
         """Cancellation during the executor forward used to settle the
@@ -510,7 +500,6 @@ class TestConfig:
         [
             {"max_batch": 0},
             {"max_queue": 0},
-            {"batch_window": -0.1},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
