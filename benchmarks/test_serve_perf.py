@@ -22,7 +22,10 @@ amortizes and therefore what this benchmark must be sensitive to.
 A third workload times the forward itself: a cache-hot
 ``ServedModel.forward_batch`` of LeNet-5 served from a δ = 10 % archive
 (every conv and dense layer line-fit compressed), per sample, guarded
-through the same calibration-spin machine scale.
+through the same calibration-spin machine scale.  A fourth times the
+same forward streamed: ``Model.forward_streamed`` over ``BlobProvider``
+cursors, so every sample decodes every layer tile by tile inside the
+MAC loop.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.codecs import CompressedBlob
 from repro.core.model_store import compress_model
+from repro.core.provider import BlobProvider
 from repro.nn import zoo
 from repro.runtime.pool import RunPolicy
 from repro.serve import InferenceService, Ok, ServeConfig, ServedModel
@@ -240,18 +245,12 @@ def test_saturation_sweep(benchmark, fast_mode, save_artifact):
     assert rows[-1]["ok"] > 0
 
 
-def test_lenet5_forward(benchmark, machine_scale, save_artifact):
-    """Cache-hot served LeNet-5 forward stays within ``MAX_SLOWDOWN``.
-
-    The decoded-weight cache holds every layer after the warm-up batch,
-    so a pass times the forward alone: im2col, the conv GEMMs, max-pool
-    and the dense tiles.  A slower forward means the inference layers
-    have regressed.
-    """
-    entry = BASELINE["benchmarks"]["lenet5_forward"]
+def _lenet5_served(delta_pct: float, inputs: int):
+    """The δ-compressed LeNet-5 proxy archive, a ``ServedModel`` over it
+    and ``inputs`` request tensors, as both LeNet-5 workloads use them."""
     model = zoo.lenet5.proxy(np.random.default_rng(0))
     archive = compress_model(
-        model, {name: entry["delta_pct"] for name, _ in model.parametric_layers()}
+        model, {name: delta_pct for name, _ in model.parametric_layers()}
     )
     served = ServedModel(
         zoo.lenet5.proxy(np.random.default_rng(0)),
@@ -261,22 +260,40 @@ def test_lenet5_forward(benchmark, machine_scale, save_artifact):
     rng = np.random.default_rng(1)
     xs = [
         rng.standard_normal(zoo.lenet5.INPUT_SHAPE).astype(np.float32)
-        for _ in range(entry["inputs"])
+        for _ in range(inputs)
     ]
+    return archive, served, xs
+
+
+def _per_sample_us(forward_batch, xs, batch: int, trials: int) -> float:
+    """Median µs per sample over ``trials`` passes over the inputs."""
+    per_sample = []
+    for _ in range(trials):
+        t0 = time.perf_counter()
+        for i in range(0, len(xs), batch):
+            forward_batch(xs[i : i + batch])
+        per_sample.append((time.perf_counter() - t0) / len(xs) * 1e6)
+    return float(np.median(per_sample))
+
+
+def test_lenet5_forward(benchmark, machine_scale, save_artifact):
+    """Cache-hot served LeNet-5 forward stays within ``MAX_SLOWDOWN``.
+
+    The decoded-weight cache holds every layer after the warm-up batch,
+    so a pass times the forward alone: im2col, the conv GEMMs, max-pool
+    and the dense tiles.  A slower forward means the inference layers
+    have regressed.
+    """
+    entry = BASELINE["benchmarks"]["lenet5_forward"]
+    _, served, xs = _lenet5_served(entry["delta_pct"], entry["inputs"])
     batch = entry["batch"]
     served.forward_batch(xs[:batch])  # fills the cache
 
-    def measure():
-        """Median µs per sample over ``trials`` passes over the inputs."""
-        per_sample = []
-        for _ in range(entry["trials"]):
-            t0 = time.perf_counter()
-            for i in range(0, len(xs), batch):
-                served.forward_batch(xs[i : i + batch])
-            per_sample.append((time.perf_counter() - t0) / len(xs) * 1e6)
-        return float(np.median(per_sample))
-
-    us = benchmark.pedantic(measure, rounds=1, iterations=1)
+    us = benchmark.pedantic(
+        lambda: _per_sample_us(served.forward_batch, xs, batch, entry["trials"]),
+        rounds=1,
+        iterations=1,
+    )
     assert served.cache.misses == len(served.compressed_layers)
     required = entry["post_us"] * machine_scale * MAX_SLOWDOWN
     save_artifact(
@@ -298,4 +315,60 @@ def test_lenet5_forward(benchmark, machine_scale, save_artifact):
         f"machine scale {machine_scale:.2f} x slowdown guard {MAX_SLOWDOWN}) "
         "— the inference forward has regressed; if intentional, re-record "
         "benchmarks/BENCH_serve.json"
+    )
+
+
+def test_lenet5_forward_streamed(benchmark, machine_scale, save_artifact):
+    """Streamed LeNet-5 forward stays within ``MAX_SLOWDOWN``.
+
+    Each sample runs ``Model.forward_streamed`` over ``BlobProvider``s
+    built once, so every pass decodes every layer tile by tile inside
+    the MAC loop, as ``serve_stream`` does per request.  A slower
+    forward means the decode kernel, the cursor or the inference layers
+    have regressed.  The replies must equal the cache-hot served ones
+    bitwise: both read the same weights in the same tiles.
+    """
+    entry = BASELINE["benchmarks"]["lenet5_forward_streamed"]
+    archive, served, xs = _lenet5_served(entry["delta_pct"], entry["inputs"])
+    model = served.model
+    providers = {
+        name: BlobProvider(CompressedBlob.rebuild(archive.codecs[name], payload))
+        for name, (payload, _) in archive.compressed.items()
+    }
+
+    def forward_batch(samples):
+        return [model.forward_streamed(x[None, ...], providers)[0] for x in samples]
+
+    batch = entry["batch"]
+    for i in range(0, len(xs), batch):
+        for got, want in zip(
+            forward_batch(xs[i : i + batch]), served.forward_batch(xs[i : i + batch])
+        ):
+            assert np.array_equal(got, want), "streamed reply differs from cache-hot"
+
+    us = benchmark.pedantic(
+        lambda: _per_sample_us(forward_batch, xs, batch, entry["trials"]),
+        rounds=1,
+        iterations=1,
+    )
+    required = entry["post_us"] * machine_scale * MAX_SLOWDOWN
+    save_artifact(
+        "serve_lenet5_forward_streamed",
+        "\n".join(
+            [
+                "serve: streamed LeNet-5 forward (delta 10%, BlobProvider cursors)",
+                f"  measured          {us:.1f} us/sample "
+                f"(machine scale {machine_scale:.2f})",
+                f"  committed         pre {entry['pre_us']} / post "
+                f"{entry['post_us']} us/sample (recording host)",
+                f"  ceiling           {required:.1f} us/sample",
+            ]
+        ),
+    )
+    assert us <= required, (
+        f"streamed LeNet-5 forward {us:.1f} us/sample over the "
+        f"{required:.1f} us ceiling (committed {entry['post_us']} us x "
+        f"machine scale {machine_scale:.2f} x slowdown guard {MAX_SLOWDOWN}) "
+        "— the streamed decode or the inference forward has regressed; if "
+        "intentional, re-record benchmarks/BENCH_serve.json"
     )

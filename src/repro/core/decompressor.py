@@ -26,27 +26,34 @@ weights the streamed serve path computes.
 
 The decoder is split in two.  A :class:`DecodePlan` is built once per
 parsed stream and accumulator dtype: it rounds ⟨m, q⟩ to storage
-precision, cuts the segments into blocks of about
-:data:`DEFAULT_TILE_WEIGHTS` weights at segment boundaries, and sorts
-each block's segments longest first.  The kernel then runs a block
-*column by column* — one accumulator per segment, all advanced by one
-in-place vector add per column, the ``c_j`` segments still running
-being a prefix of the sorted block — so the Python-level loop is over
-the columns of a block (about its longest short segment), not over
-segments or weights.  When a block's remaining columns outnumber its
-running segments (a long ramp segment), each of those segments finishes
-in one in-place ``cumsum`` over its remaining weights, seeded from its
-accumulator: NumPy's ``cumsum`` is a strict left-to-right accumulation,
-so that too is the hardware recurrence, and a 65535-weight segment
-costs one ``cumsum``, not 65535 Python steps.
+precision, cuts the segments into blocks of about :data:`_BLOCK`
+weights at segment boundaries, and sorts each block's segments longest
+first.  The kernel then runs a block *column by column* — one
+accumulator per segment, all advanced by one in-place vector add per
+column, the ``c_j`` segments still running being a prefix of the sorted
+block — so the Python-level loop is over the columns of a block (about
+its longest short segment), not over segments or weights.  When a
+block's remaining columns outnumber its running segments, the segments
+still running (the *tail*) finish by ``cumsum``, seeded from their
+accumulators: NumPy's ``cumsum`` is a strict left-to-right
+accumulation, so that too is the hardware recurrence.  A *wide* tail
+segment (a long ramp) finishes alone, in one in-place ``cumsum`` over
+its contiguous remaining weights, so a 65535-weight segment costs one
+``cumsum``, not 65535 Python steps; the *narrow* rest of the tail, a
+contiguous slice of the sorted block, finishes together in one padded
+row-wise ``cumsum`` and one scatter.
 
-:class:`WeightStream` is the tile-cursor face of the kernel, and
-:meth:`CompressedStream.decompress` is one read of all of it.  The cursor
-decodes whole plan blocks as reads need them, so a consumer (the fused
-decode+MAC path in :mod:`repro.nn.layers`, via
-:mod:`repro.core.provider`) never holds more than one tile plus one
-block — the full-size weight buffer the paper's PE avoids in hardware
-is avoided in the model too.
+A block is a unit of decode work, sized for one core's L2 cache, and is
+independent of the tile a consumer reads: :data:`DEFAULT_TILE_WEIGHTS`
+is the nn layers' tile.  :class:`WeightStream` is the tile-cursor face
+of the kernel, and :meth:`CompressedStream.decompress` is one read of
+all of it.  The cursor decodes whole plan blocks as reads need them, so
+it holds one tile plus one block for its consumer (the fused decode+MAC
+path in :mod:`repro.nn.layers`, via :mod:`repro.core.provider`; a tile
+the consumer still holds keeps its block alive too) — the full-size
+weight buffer the paper's PE avoids in hardware is avoided in the model
+too.  Each cursor decodes on its own: no cursor returns weights that
+another cursor decoded.
 """
 
 from __future__ import annotations
@@ -65,8 +72,21 @@ __all__ = [
 ]
 
 #: default tile size of the fused nn path, in weights — 16 KB of
-#: float32, two PE-local memories' worth; also the decode-plan block size
+#: float32, two PE-local memories' worth.  It fixes the summation order
+#: of the Dense tile GEMMs, so served replies depend on it.
 DEFAULT_TILE_WEIGHTS = 4096
+
+#: weights per decode-plan block: 256 KiB of float32 output plus the
+#: block's per-segment state, so a block's working set stays near a
+#: core's L2 cache (the encode window's reasoning,
+#: :data:`repro.core.segmentation._WINDOW`)
+_BLOCK = 1 << 16
+
+#: padded weights of the narrow-tail grid that cost about as much as one
+#: per-segment Python step of the wide-tail path (≈3.9 µs a step against
+#: ≈8.5 ns a padded weight on a 2-vCPU host; rounded down, which keeps
+#: the grids small)
+_STEP_WEIGHTS = 256
 
 
 @dataclass(frozen=True)
@@ -91,18 +111,21 @@ class DecodePlan:
 
     * ⟨m, q⟩ rounded to storage precision and cast to the accumulator
       dtype, and the segment lengths;
-    * the segments cut into blocks of about
-      :data:`DEFAULT_TILE_WEIGHTS` weights (cuts only at segment
-      boundaries, so a segment longer than that ends its block), each
-      block's segments sorted longest first (stable) with their
-      block-local start offsets;
+    * the segments cut into blocks of about :data:`_BLOCK` weights
+      (cuts only at segment boundaries, so a block can exceed that by
+      up to one segment), each block's segments sorted longest first
+      (stable) with their block-local start offsets;
     * per block, the count ``c_j`` of segments longer than ``j`` for
-      each column the kernel steps, and how many segments are still
-      running after the last stepped column (each finishes by
-      ``cumsum``).  A block steps columns while it has at least as many
-      running segments as columns left — past that point one Python
-      step per segment is cheaper than one per column — so it never
-      stores more counts than it has segments.
+      each column the kernel steps, how many segments are still running
+      after the last stepped column (the tail, which finishes by
+      ``cumsum``), and how many of those are wide.  A block steps
+      columns while it has at least as many running segments as columns
+      left — past that point one Python step per segment is cheaper
+      than one per column — so it never stores more counts than it has
+      segments.  The tail is sorted widest first; its first ``wide``
+      segments each finish alone and the narrow rest are padded to the
+      widest of them, with ``wide`` chosen to minimize
+      ``wide * _STEP_WEIGHTS`` plus the padded area.
 
     The block size bounds what a streamed read decodes ahead of the
     tile it was asked for.
@@ -116,7 +139,7 @@ class DecodePlan:
         ends = np.cumsum(lengths)
         self.num_weights = int(ends[-1]) if lengths.size else 0
         # cut after the segment that reaches each multiple of the block size
-        targets = np.arange(DEFAULT_TILE_WEIGHTS, self.num_weights, DEFAULT_TILE_WEIGHTS)
+        targets = np.arange(_BLOCK, self.num_weights, _BLOCK)
         cuts = np.unique(
             np.r_[0, np.searchsorted(ends, targets) + 1, lengths.size]
         )
@@ -135,8 +158,8 @@ class DecodePlan:
         ).astype(np.int32)
         #: per block, the stream offset one past its last weight
         self.block_ends: list[int] = ends[cuts[1:] - 1].tolist()
-        #: per block ``(first segment, last segment, counts, tail)``
-        self._blocks: list[tuple[int, int, list[int], int]] = []
+        #: per block ``(first segment, last segment, counts, wide, tail)``
+        self._blocks: list[tuple[int, int, list[int], int, int]] = []
         cuts = cuts.tolist()
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             ascending = self._lengths[lo:hi][::-1]
@@ -148,7 +171,14 @@ class DecodePlan:
             handoff = np.flatnonzero(ncols - cols > running)
             stepped = int(handoff[0]) if handoff.size else cols.size
             tail = int(running[stepped]) if handoff.size else 0
-            self._blocks.append((lo, hi, running[:stepped].tolist(), tail))
+            # the tail's remaining widths, widest first, then 0: k wide
+            # segments cost k Python steps, the rest a grid padded to
+            # widths[k]
+            widths = np.zeros(tail + 1, dtype=np.int64)
+            widths[:tail] = self._lengths[lo : lo + tail] - stepped
+            k = np.arange(tail + 1)
+            wide = int(np.argmin(k * _STEP_WEIGHTS + (tail - k) * widths))
+            self._blocks.append((lo, hi, running[:stepped].tolist(), wide, tail))
 
     def block_start(self, block: int) -> int:
         """Stream offset of a block's first weight."""
@@ -166,7 +196,7 @@ class DecodePlan:
     def _decode_block(self, block: int, out: np.ndarray) -> None:
         """The column-step kernel: Eq. (2) for one block, all segments
         at once, each weight from exactly the scalar loop's additions."""
-        lo, hi, counts, tail = self._blocks[block]
+        lo, hi, counts, wide, tail = self._blocks[block]
         m = self._m[lo:hi]
         acc = self._q[lo:hi].copy()
         # where each running segment's next weight goes; the running
@@ -180,16 +210,27 @@ class DecodePlan:
             at = pos[:c]
             at += 1
             out[at] = running
-        if tail:
-            # each tail segment's remaining weights are contiguous: fill
-            # them with [acc, m, m, ...] (re-emitting the last stepped
-            # column) and run the recurrence as one in-place cumsum
-            ends = pos[:tail] + (self._lengths[lo : lo + tail] - len(counts))
-            for p0, p1, mi, ai in zip(pos[:tail].tolist(), ends.tolist(), m, acc):
-                seg = out[p0:p1]
-                seg.fill(mi)
-                seg[0] = ai
-                np.cumsum(seg, out=seg)
+        if not tail:
+            return
+        # each tail segment's remaining weights are contiguous: [acc, m,
+        # m, ...] (re-emitting the last stepped column) run through
+        # cumsum is the recurrence
+        widths = self._lengths[lo : lo + tail] - len(counts)
+        for p0, w, mi, ai in zip(pos[:wide].tolist(), widths[:wide].tolist(), m, acc):
+            seg = out[p0 : p0 + w]
+            seg.fill(mi)
+            seg[0] = ai
+            np.cumsum(seg, out=seg)
+        if wide < tail:
+            # the narrow rest as rows of one grid: each row's first
+            # `width` entries are its weights, the padding is dropped
+            widths, cols = widths[wide:], np.arange(int(widths[wide]))
+            grid = np.empty((tail - wide, cols.size), dtype=self.dtype)
+            grid[:] = m[wide:tail, None]
+            grid[:, 0] = acc[wide:tail]
+            np.cumsum(grid, axis=1, out=grid)
+            keep = cols < widths[:, None]
+            out[(pos[wide:tail, None] + cols)[keep]] = grid[keep]
 
 
 class WeightStream:
@@ -198,8 +239,11 @@ class WeightStream:
     Decodes on demand: :meth:`read` materializes exactly the requested
     number of weights, decoding whole plan blocks and carrying the
     partial tail to the next call.  Peak memory is one tile plus one
-    block — the full weight array is never allocated — and nothing is
-    re-planned per read.
+    block (its weights and the kernel's per-segment state) — the full
+    weight array is never allocated, and the previous block's buffer is
+    released before the next one decodes unless the consumer still
+    holds a tile of it.  Nothing is re-planned per read, and nothing
+    decoded is shared with another cursor.
 
     Every emitted value is bit-identical to the scalar Eq. (2) loop
     however the reads are chunked: the kernel gives each weight exactly
@@ -240,14 +284,17 @@ class WeightStream:
         if carried < n:
             plan, first = self._plan, self._block
             last = bisect_left(plan.block_ends, self._pos + n, lo=first) + 1
+            # move the carried weights (fewer than n) out first, so the
+            # old block's buffer is freed before the next block decodes
+            self._carry, self._carry_off = self._carry[self._carry_off :].copy(), 0
             buf = np.empty(
                 carried + plan.block_ends[last - 1] - plan.block_start(first),
                 dtype=self.dtype,
             )
-            buf[:carried] = self._carry[self._carry_off :]
+            buf[:carried] = self._carry
             plan.decode_blocks(first, last, buf[carried:])
             self._block = last
-            self._carry, self._carry_off = buf, 0
+            self._carry = buf
         out = self._carry[self._carry_off : self._carry_off + n]
         self._carry_off += n
         self._pos += n

@@ -14,9 +14,11 @@ decides how the tiles come to exist —
   payload) streams for real: the provider builds a
   :class:`~repro.core.decompressor.DecodePlan` once and its cursors
   decode on demand through
-  :class:`~repro.core.decompressor.WeightStream`, so the full weight
-  array is never allocated — the software analogue of the paper's
-  in-PE decompression unit feeding the MAC datapath directly.  Other
+  :class:`~repro.core.decompressor.WeightStream`, so a cursor holds one
+  tile plus one plan block and the full weight array is never
+  allocated — the software analogue of the paper's in-PE decompression
+  unit feeding the MAC datapath directly.  Each cursor decodes on its
+  own: no decoded weight is shared with another cursor.  Other
   codecs (whose decoders are whole-payload) materialize once per
   provider and then serve views — same contract, documented fallback.
 
@@ -129,7 +131,8 @@ class BlobProvider(WeightProvider):
     :class:`~repro.core.decompressor.DecodePlan` once per accumulator
     dtype (``float32``, the dtype every nn layer reads, at
     construction) and keeps only the plans; each cursor is a
-    :class:`~repro.core.decompressor.WeightStream` over one.  Other
+    :class:`~repro.core.decompressor.WeightStream` over one, holding
+    one tile plus one plan block of its own decoded weights.  Other
     codecs' decoders are whole-payload, so the first cursor
     materializes the decode once (cached on the provider) and
     subsequent cursors serve views — the provider contract holds either

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.codecs import LineFitCodec
 from repro.core.compression import compress
 from repro.core.decompressor import (
+    _BLOCK,
     DEFAULT_TILE_WEIGHTS,
     DecodePlan,
     DecompressorTiming,
@@ -67,22 +68,25 @@ def _ramp(size: int) -> np.ndarray:
 
 
 def _ramp_gaussian_mix() -> np.ndarray:
-    """Short Gaussian segments around ramps of 300 to 70k weights.
+    """Short Gaussian segments around ramps of 150 to 70k weights.
 
-    The ramps straddle block cuts (the plan cuts at multiples of
-    :data:`DEFAULT_TILE_WEIGHTS`), so blocks mix stepped columns with a
-    cumsum tail and the streamed carry crosses long segments.
+    The Gaussian pieces are sized from the plan's block size
+    (:data:`~repro.core.decompressor._BLOCK`), so the mix spans six
+    blocks.  The ramps straddle block cuts, so blocks mix stepped
+    columns with wide and narrow tail segments, and the block around the
+    70k ramp is all tail.  The ramp of two MAC tiles and a bit makes
+    tile reads carry across one segment.
     """
     rng = np.random.default_rng(17)
-    t = DEFAULT_TILE_WEIGHTS
+    b, t = _BLOCK, DEFAULT_TILE_WEIGHTS
     pieces = [
-        rng.standard_normal(t - 700),
+        rng.standard_normal(b - 700),
         np.linspace(0.0, 0.9, 300),
         rng.standard_normal(2000),
         np.linspace(-0.5, 2.0, 2 * t + 100),
         rng.standard_normal(1500),
         np.linspace(2.0, -2.0, 70_000),
-        rng.standard_normal(3 * t),
+        rng.standard_normal(3 * b),
         np.linspace(-1.0, 0.0, 150),
         rng.standard_normal(777),
     ]
@@ -126,11 +130,16 @@ class TestColumnStepKernel:
         _, stream, _ = _kernel_case("ramp-200k", "float32", np.float32)
         assert int(stream.lengths.max()) == stream.fmt.max_segment_length
         blocks = DecodePlan(stream)._blocks
-        assert any(tail and not counts for _, _, counts, tail in blocks)
+        assert any(tail and not counts for _, _, counts, _, tail in blocks)
         _, stream, _ = _kernel_case("ramp-gaussian-mix", "float32", np.float32)
         blocks = DecodePlan(stream)._blocks
         assert len(blocks) > 5
-        assert any(tail and counts for _, _, counts, tail in blocks)
+        assert any(tail and counts for _, _, counts, _, tail in blocks)
+        assert any(tail and not counts for _, _, counts, _, tail in blocks)
+        # wide tail segments finish alone, narrow ones in the padded grid
+        assert any(wide for _, _, _, wide, _ in blocks)
+        assert any(wide < tail for _, _, _, wide, tail in blocks)
+        assert int(stream.lengths.max()) == stream.fmt.max_segment_length
         assert int(stream.lengths.max()) > 2 * DEFAULT_TILE_WEIGHTS
 
     @pytest.mark.parametrize("acc_dtype", [np.float32, np.float64])

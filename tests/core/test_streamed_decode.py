@@ -9,6 +9,8 @@ arbitrary read-chunk patterns, and every registered codec.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import provider as provider_mod
 from repro.core.codecs import CompressedBlob, LineFitCodec, get_codec
 from repro.core.compression import compress
-from repro.core.decompressor import DecodePlan, WeightStream
+from repro.core.decompressor import DEFAULT_TILE_WEIGHTS, DecodePlan, WeightStream
 from repro.core.errors import IntegrityError
 from repro.core.provider import ArrayProvider, BlobProvider, provider_for
 
@@ -73,6 +75,51 @@ class TestWeightStreamBitIdentical:
         first = ws.read(777).copy()
         ws.reset()
         np.testing.assert_array_equal(ws.read(777), first)
+
+
+class TestCursorFootprint:
+    """A cursor holds one tile plus one block, and decodes on its own."""
+
+    def test_peak_is_one_tile_plus_one_block(self):
+        tile = DEFAULT_TILE_WEIGHTS
+        w = _weights(5, 1 << 20)
+        codec = LineFitCodec(delta_pct=10.0)
+        plan = DecodePlan(codec.decode_stream(codec.encode(w)))
+        blocks = np.diff([0, *plan.block_ends])
+        assert blocks.size > 8
+        # slack: the kernel's per-segment state for the largest block (an
+        # intp position and a float32 accumulator per segment), the
+        # carried weights (under a tile) copied out while the previous
+        # block's buffer is freed, and 64 KiB for small objects
+        state = 12 * max(hi - lo for lo, hi, *_ in plan._blocks)
+        bound = 4 * (tile + int(blocks.max())) + state + 4 * tile + (64 << 10)
+        cursor = WeightStream(plan)
+        tracemalloc.start()
+        try:
+            while cursor.remaining:
+                cursor.read(tile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
+        assert peak < w.nbytes // 4, (peak, w.nbytes)
+
+    def test_cursors_of_one_provider_share_no_buffer(self):
+        # serving decodes per request: a cache shared across cursors
+        # would hand two requests views of one buffer
+        provider = BlobProvider(
+            LineFitCodec(delta_pct=10.0).encode(_weights(6, 150_000))
+        )
+        a, b = provider.cursor(), provider.cursor()
+        tiles_a, tiles_b = [], []
+        while a.remaining:
+            tiles_a.append(a.read(DEFAULT_TILE_WEIGHTS))
+            tiles_b.append(b.read(DEFAULT_TILE_WEIGHTS))
+        assert not b.remaining
+        for ta, tb in zip(tiles_a, tiles_b):
+            np.testing.assert_array_equal(ta, tb)
+        for ta in tiles_a:
+            assert not any(np.shares_memory(ta, tb) for tb in tiles_b)
 
 
 class TestProvidersBitIdentical:
