@@ -144,25 +144,24 @@ class DecodePlan:
             np.r_[0, np.searchsorted(ends, targets) + 1, lengths.size]
         )
         seg_counts = np.diff(cuts)
-        block_of = np.repeat(np.arange(seg_counts.size), seg_counts)
         longest = int(lengths.max()) if lengths.size else 0
-        # by block, then longest first; stable keeps stream order on ties
-        key = block_of * (longest + 1) + (longest - lengths)
-        order = np.argsort(key, kind="stable")
+        # each block's segments longest first, stable so ties keep stream
+        # order; a length field of 2 bytes (every wire format) caps
+        # lengths at 65535, so the key fits uint16, which NumPy sorts by
+        # radix
+        key = (longest - lengths).astype(np.uint16 if longest <= 0xFFFF else np.int64)
+        order = np.empty(lengths.size, dtype=np.intp)
         seg_starts = ends - lengths
-        self._m = m[order].astype(self.dtype)
-        self._q = q[order].astype(self.dtype)
-        self._lengths = lengths[order].astype(np.int32)
-        self._starts = (
-            seg_starts[order] - np.repeat(seg_starts[cuts[:-1]], seg_counts)
-        ).astype(np.int32)
         #: per block, the stream offset one past its last weight
         self.block_ends: list[int] = ends[cuts[1:] - 1].tolist()
         #: per block ``(first segment, last segment, counts, wide, tail)``
         self._blocks: list[tuple[int, int, list[int], int, int]] = []
-        cuts = cuts.tolist()
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            ascending = self._lengths[lo:hi][::-1]
+        bounds = cuts.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            by_length = np.argsort(key[lo:hi], kind="stable")
+            order[lo:hi] = by_length + lo
+            sorted_lengths = lengths[lo:hi][by_length]
+            ascending = sorted_lengths[::-1]
             n, ncols = hi - lo, int(ascending[-1])
             # columns past n + 1 never matter: a block with fewer
             # segments than columns hands off at column 1
@@ -175,10 +174,16 @@ class DecodePlan:
             # segments cost k Python steps, the rest a grid padded to
             # widths[k]
             widths = np.zeros(tail + 1, dtype=np.int64)
-            widths[:tail] = self._lengths[lo : lo + tail] - stepped
+            widths[:tail] = sorted_lengths[:tail] - stepped
             k = np.arange(tail + 1)
             wide = int(np.argmin(k * _STEP_WEIGHTS + (tail - k) * widths))
             self._blocks.append((lo, hi, running[:stepped].tolist(), wide, tail))
+        self._m = m[order].astype(self.dtype)
+        self._q = q[order].astype(self.dtype)
+        self._lengths = lengths[order].astype(np.int32)
+        self._starts = (
+            seg_starts[order] - np.repeat(seg_starts[cuts[:-1]], seg_counts)
+        ).astype(np.int32)
 
     def block_start(self, block: int) -> int:
         """Stream offset of a block's first weight."""

@@ -243,6 +243,14 @@ class Model:
         is the serving path: the provider decides whether tiles come
         from a hot decoded-weight cache or a streaming decode, and the
         layer's stored weights are never read for provided nodes.
+
+        Row contract: row i of the output equals the forward of
+        ``x[i:i + 1]`` alone, bit for bit, when every ``Dense`` and
+        ``Conv2D`` node has a provider.  A provided node reads each tile
+        once per batch and applies it to all samples by one stacked
+        matmul, which repeats per sample the BLAS call a lone sample
+        makes; a node without a provider runs the materialized forward,
+        whose one GEMM over the stacked rows is not batch-invariant.
         """
         unknown = set(weight_providers) - set(self._nodes)
         if unknown:

@@ -75,7 +75,9 @@ class Conv2D(Layer):
                     f"{self.name}: the fused streamed-weight path is "
                     "inference-only (backward needs materialized weights)"
                 )
-            out = self._matmul_streamed(cols, weight_provider)
+            out = self._matmul_streamed(
+                cols.reshape(n, oh * ow, cols.shape[1]), weight_provider
+            )
         else:
             wmat = self.weight.data.reshape(self.out_channels, -1)
             out = cols @ wmat.T  # (N*oh*ow, O)
@@ -92,6 +94,12 @@ class Conv2D(Layer):
         The OIHW kernel's C-order stream is filter-major: a tile of
         ``r * (I*kh*kw)`` elements is ``r`` whole filters, so each tile
         fills ``r`` output columns of the im2col GEMM as it is decoded.
+
+        ``cols`` is the batch's ``im2col`` viewed as ``(N, oh*ow, K)``.
+        Each tile is read once per batch and applied as one stacked
+        ``cols @ tile.T``, which makes per sample the ``(oh*ow, K) @
+        (K, r)`` BLAS call a lone sample makes: sample i's outputs
+        equal its forward alone, bit for bit.  Returns ``(N, oh*ow, O)``.
         """
         from ...core.decompressor import DEFAULT_TILE_WEIGHTS
 
@@ -105,14 +113,17 @@ class Conv2D(Layer):
         cur = provider.cursor(dtype=self.weight.data.dtype)
         filters_per_tile = max(1, DEFAULT_TILE_WEIGHTS // kernel_elems)
         out = np.empty(
-            (cols.shape[0], self.out_channels),
+            (*cols.shape[:2], self.out_channels),
             dtype=np.result_type(cols, self.weight.data),
         )
         o = 0
         while o < self.out_channels:
             r = min(filters_per_tile, self.out_channels - o)
             block = cur.read(r * kernel_elems).reshape(r, kernel_elems)
-            out[:, o : o + r] = cols @ block.T
+            out[:, :, o : o + r] = cols @ block.T
+            # let the cursor free the tile's plan block before it decodes
+            # the next one
+            del block
             o += r
         return out
 
@@ -239,6 +250,9 @@ class DepthwiseConv2D(Layer):
             out[:, ch : ch + r] = np.einsum(
                 "ncpk,ck->ncp", cols4[:, ch : ch + r], block
             )
+            # let the cursor free the tile's plan block before it decodes
+            # the next one
+            del block
             ch += r
         return out
 

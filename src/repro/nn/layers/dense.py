@@ -74,6 +74,11 @@ class Dense(Layer):
         neurons), so a tile of ``r * out_features`` elements is ``r``
         whole rows and contributes ``x[:, rows] @ tile`` to the output —
         no full-size weight buffer ever exists on this path.
+
+        Each tile is read once per batch and applied to every sample in
+        one stacked ``(N, 1, r) @ (r, out)`` matmul, which makes per
+        sample the ``(1, r) @ (r, out)`` BLAS call a lone sample makes:
+        row i equals sample i's forward alone, bit for bit.
         """
         from ...core.decompressor import DEFAULT_TILE_WEIGHTS
 
@@ -85,13 +90,21 @@ class Dense(Layer):
             )
         cur = provider.cursor(dtype=self.weight.data.dtype)
         rows_per_tile = max(1, DEFAULT_TILE_WEIGHTS // self.out_features)
-        y = np.zeros((x.shape[0], self.out_features), dtype=np.result_type(x, self.weight.data))
+        xs = x[:, None, :]
+        y = np.zeros(
+            (x.shape[0], 1, self.out_features),
+            dtype=np.result_type(x, self.weight.data),
+        )
         row = 0
         while row < self.in_features:
             r = min(rows_per_tile, self.in_features - row)
             block = cur.read(r * self.out_features).reshape(r, self.out_features)
-            y += x[:, row : row + r] @ block
+            y += xs[:, :, row : row + r] @ block
+            # let the cursor free the tile's plan block before it decodes
+            # the next one
+            del block
             row += r
+        y = y[:, 0]
         if self.bias is not None:
             y += self.bias.data
         return y

@@ -10,15 +10,18 @@ fused streamed-weight forward
 live in one bounded, shared, evictable place instead of being baked
 into every model instance.
 
-Batch forwards run **per sample**: each request's output is produced by
-exactly the computation a lone request would get, so batched and serial
-serving are bit-identical by construction (BLAS kernels are *not*
-batch-invariant — a stacked GEMM changes the answer in the last ulp —
-so sample isolation is the only way to keep the service's batching an
-invisible latency optimization).  What the batch amortizes is
-everything around the MACs: cache lookups and provider resolution
-happen once per batch, and the executor/event-loop round trip is paid
-once per batch rather than once per request.
+A batch runs as **one walk** of the layers: its samples are stacked, so
+each weight tile is read once per batch, as the paper's PE fetches a
+layer's weights once and streams them through its MACs.  Each tile is
+applied to the samples by one stacked matmul, which repeats per sample
+the BLAS call a lone request makes, so every reply is bit-identical to
+the same request served alone, by construction.  (One GEMM over the
+stacked rows would not be: BLAS picks its blocking from the row count,
+and the answer changes in the last ulp.)  For that, every layer with
+weights runs the streamed path: raw layers stream from their installed
+weights.  Samples of different shapes (a model with global pooling takes
+any input size) walk once per shape.  Cache lookups, provider resolution
+and the executor/event-loop round trip are paid once per batch too.
 """
 
 from __future__ import annotations
@@ -29,11 +32,16 @@ import numpy as np
 
 from .. import obs
 from ..core.model_store import ModelArchive, check_on_fault
+from ..core.provider import ArrayProvider
 from ..nn.graph import Model
 from ..runtime.keys import fingerprint_bytes, result_key
 from .cache import DecodedWeightCache
 
 __all__ = ["ServedModel", "decoded_weight_key"]
+
+
+def _streams_weights(layer) -> bool:
+    return "weight_provider" in inspect.signature(layer.forward).parameters
 
 
 def decoded_weight_key(payload: bytes, spec: dict | None, shape: tuple) -> str:
@@ -69,9 +77,11 @@ class ServedModel:
     model:
         Skeleton whose topology matches the archive (e.g. the zoo
         proxy the archive was compressed from).  Raw layers and state
-        are installed into it immediately; compressed layers are left
-        untouched (their stored weights are never read on the serving
-        path).  Every compressed layer must accept a
+        are installed into it immediately, and raw layers that can
+        stream their weights are served through the streamed path too;
+        compressed layers are left untouched (their stored weights are
+        never read on the serving path).  Every compressed layer must
+        accept a
         ``weight_provider`` in its forward (``Dense``, ``Conv2D``,
         ``DepthwiseConv2D``); any other compressed layer, e.g. a
         batch norm, raises :class:`ValueError` here.
@@ -121,7 +131,7 @@ class ServedModel:
             if name not in model:
                 raise ValueError(f"archive layer {name!r} unknown to model")
             layer = model[name]
-            if "weight_provider" not in inspect.signature(layer.forward).parameters:
+            if not _streams_weights(layer):
                 raise ValueError(
                     f"archive compresses layer {name!r}, but its "
                     f"{type(layer).__name__} forward cannot stream weights"
@@ -132,6 +142,13 @@ class ServedModel:
         # raw layers + non-weight state install once; compressed layers
         # resolve per forward through the cache
         archive.install_uncompressed(model)
+        #: uncompressed layers that stream from their installed weights:
+        #: a materialized GEMM over the stacked batch is not batch-invariant
+        self._raw = [
+            name
+            for name, layer in model.parametric_layers()
+            if name not in self._keys and _streams_weights(layer)
+        ]
 
     @property
     def compressed_layers(self) -> list[str]:
@@ -146,30 +163,43 @@ class ServedModel:
         return weights
 
     def providers(self) -> dict[str, object]:
-        """Resolve every compressed layer through the cache (hot path).
+        """A weight provider for every streaming layer (hot path).
 
-        Called once per *batch*: the returned providers are zero-copy
-        views over cached decoded arrays, reused by every sample in the
-        batch — this is where serving amortizes the decode.
+        Called once per *batch*: compressed layers resolve through the
+        cache into zero-copy views over cached decoded arrays, raw layers
+        into views over their installed weights, and every sample in the
+        batch reads them — this is where serving amortizes the decode.
         """
-        return {
-            name: self.cache.provider(key, lambda name=name: self._decode(name))
-            for name, key in self._keys.items()
+        providers = {
+            name: ArrayProvider(self.model.get_weights(name)) for name in self._raw
         }
+        providers.update(
+            (name, self.cache.provider(key, lambda name=name: self._decode(name)))
+            for name, key in self._keys.items()
+        )
+        return providers
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Single-sample forward (adds/strips the batch dimension)."""
         return self.forward_batch([x])[0]
 
     def forward_batch(self, samples: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-sample forwards sharing one provider resolution.
+        """One walk of the layers per sample shape, one provider resolution.
 
-        Outputs are bit-identical to serial single-request execution by
-        construction — see the module docstring for why the samples are
-        *not* stacked into one GEMM.
+        The samples of each shape are stacked and run through one
+        :meth:`~repro.nn.graph.Model.forward_streamed` call; the replies
+        come back in request order, each bit-identical to the same sample
+        served alone — see the module docstring.
         """
+        # the float32 cast the walk applies to a lone input, per sample
+        xs = [np.asarray(x, dtype=np.float32) for x in samples]
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, x in enumerate(xs):
+            groups.setdefault(x.shape, []).append(i)
         providers = self.providers()
-        return [
-            self.model.forward_streamed(np.asarray(x)[None, ...], providers)[0]
-            for x in samples
-        ]
+        replies: list[np.ndarray] = [None] * len(xs)
+        for idx in groups.values():
+            out = self.model.forward_streamed(np.stack([xs[i] for i in idx]), providers)
+            for i, row in zip(idx, out):
+                replies[i] = row
+        return replies

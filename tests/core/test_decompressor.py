@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.codecs import LineFitCodec
-from repro.core.compression import compress
+from repro.core.compression import StorageFormat, compress
 from repro.core.decompressor import (
     _BLOCK,
+    _STEP_WEIGHTS,
     DEFAULT_TILE_WEIGHTS,
     DecodePlan,
     DecompressorTiming,
@@ -242,6 +243,119 @@ class TestEveryDecodeEntryPoint:
             out, damage = archive.decode_layer("w")
             assert damage is None
             same(out)
+
+
+class _Int64KeyPlan(DecodePlan):
+    """The oracle for the plan's segment order: one stable ``argsort`` of
+    an int64 ``(block, longest - length)`` key over the whole stream,
+    the plan as it was built before each block sorted on its own."""
+
+    def __init__(self, stream, acc_dtype=np.float32) -> None:
+        self.dtype = np.dtype(acc_dtype)
+        m, q = stream.storage_coefficients()
+        lengths = np.asarray(stream.lengths, dtype=np.int64)
+        self.num_segments = int(lengths.size)
+        ends = np.cumsum(lengths)
+        self.num_weights = int(ends[-1]) if lengths.size else 0
+        targets = np.arange(_BLOCK, self.num_weights, _BLOCK)
+        cuts = np.unique(
+            np.r_[0, np.searchsorted(ends, targets) + 1, lengths.size]
+        )
+        seg_counts = np.diff(cuts)
+        block_of = np.repeat(np.arange(seg_counts.size), seg_counts)
+        longest = int(lengths.max()) if lengths.size else 0
+        key = block_of * (longest + 1) + (longest - lengths)
+        order = np.argsort(key, kind="stable")
+        seg_starts = ends - lengths
+        self._m = m[order].astype(self.dtype)
+        self._q = q[order].astype(self.dtype)
+        self._lengths = lengths[order].astype(np.int32)
+        self._starts = (
+            seg_starts[order] - np.repeat(seg_starts[cuts[:-1]], seg_counts)
+        ).astype(np.int32)
+        self.block_ends = ends[cuts[1:] - 1].tolist()
+        self._blocks = []
+        cuts = cuts.tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ascending = self._lengths[lo:hi][::-1]
+            n, ncols = hi - lo, int(ascending[-1])
+            cols = np.arange(1, min(ncols, n + 2))
+            running = n - np.searchsorted(ascending, cols, side="right")
+            handoff = np.flatnonzero(ncols - cols > running)
+            stepped = int(handoff[0]) if handoff.size else cols.size
+            tail = int(running[stepped]) if handoff.size else 0
+            widths = np.zeros(tail + 1, dtype=np.int64)
+            widths[:tail] = self._lengths[lo : lo + tail] - stepped
+            k = np.arange(tail + 1)
+            wide = int(np.argmin(k * _STEP_WEIGHTS + (tail - k) * widths))
+            self._blocks.append((lo, hi, running[:stepped].tolist(), wide, tail))
+
+
+def _assert_same_plan(stream, acc_dtype=np.float32) -> None:
+    plan, oracle = DecodePlan(stream, acc_dtype), _Int64KeyPlan(stream, acc_dtype)
+    for name in ("_m", "_q", "_lengths", "_starts"):
+        got, want = getattr(plan, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert plan._blocks == oracle._blocks
+    assert plan.block_ends == oracle.block_ends
+    assert (plan.num_weights, plan.num_segments) == (
+        oracle.num_weights,
+        oracle.num_segments,
+    )
+
+
+class TestPlanOrder:
+    """Each block's segments, sorted on their own by a uint16 key, land
+    in every plan field exactly where the whole-stream int64 key put
+    them."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pieces=st.lists(_PIECE, min_size=1, max_size=4),
+        delta_pct=st.sampled_from([0.0, 1.0, 5.0, 10.0, 30.0, 100.0]),
+        fmt=st.sampled_from(["float32", "int8"]),
+        acc_dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_generated_streams(self, pieces, delta_pct, fmt, acc_dtype):
+        codec = LineFitCodec(delta_pct=delta_pct, fmt=fmt)
+        stream = codec.decode_stream(codec.encode(_generated_stream(pieces)))
+        _assert_same_plan(stream, acc_dtype)
+
+    @pytest.mark.parametrize("workload", sorted(_KERNEL_WORKLOADS))
+    def test_kernel_workloads(self, workload):
+        weights, params = _KERNEL_WORKLOADS[workload]
+        codec = LineFitCodec(**params)
+        _assert_same_plan(codec.decode_stream(codec.encode(weights)))
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 150_000])
+    @pytest.mark.parametrize("delta_pct", [0.0, 10.0])
+    def test_constant_streams(self, size, delta_pct):
+        # 150k equal weights: two 65535-weight segments and the rest
+        codec = LineFitCodec(delta_pct=delta_pct)
+        stream = codec.decode_stream(codec.encode(np.full(size, 0.5, np.float32)))
+        if size == 150_000:
+            assert int(stream.lengths.max()) == 0xFFFF
+        _assert_same_plan(stream)
+
+    def test_segments_longer_than_the_uint16_key(self):
+        # a 3-byte length field lets a segment pass 65535 weights, so the
+        # plan falls back to a wide key; in one block, 100k - 20k wraps
+        # below 100k - 40k in 16 bits and would put 20k before 40k
+        weights = np.concatenate(
+            [
+                np.linspace(0.0, 1.0, 20_000),
+                np.linspace(1.0, -1.0, 40_000),
+                np.linspace(-1.0, 2.0, 100_000),
+                _generated_stream([("gaussian", 3000, 5, 1.0)]),
+            ]
+        ).astype(np.float32)
+        stream = compress(weights, 1e-6, fmt=StorageFormat(length_bytes=3))
+        short, mid, longest = stream.lengths[:3].tolist()
+        assert longest == int(stream.lengths.max())
+        assert longest - short > 0xFFFF > longest - mid
+        assert DecodePlan(stream)._blocks[0][:2] == (0, 3)
+        _assert_same_plan(stream)
 
 
 class TestCycleModel:

@@ -5,7 +5,8 @@ with the reference kernels of :mod:`tests.nn.oracles` (strided-view
 unfold, unfold + ``argmax`` max-pool) patched into its layers.  The
 batched, single-sample, streamed and training forwards, the parameter
 gradients, and the replies of a served LeNet-5 archive on both serve
-paths must agree bitwise.
+paths must agree bitwise.  And every proxy's streamed forward over a
+batch must give each sample the reply it gets alone.
 """
 
 from __future__ import annotations
@@ -37,15 +38,19 @@ def _streams_weights(layer) -> bool:
     return "weight_provider" in inspect.signature(layer.forward).parameters
 
 
-def _zoo_run(module, x: np.ndarray) -> list[np.ndarray]:
-    """Every forward kind of one fresh proxy, then its gradients."""
-    model = module.proxy(np.random.default_rng(3))
-    outs = [model.forward(x), model.forward(x[:1])]
-    providers = {
+def _array_providers(model) -> dict[str, ArrayProvider]:
+    return {
         name: ArrayProvider(layer.weight.data)
         for name, layer in model.parametric_layers()
         if _streams_weights(layer)
     }
+
+
+def _zoo_run(module, x: np.ndarray) -> list[np.ndarray]:
+    """Every forward kind of one fresh proxy, then its gradients."""
+    model = module.proxy(np.random.default_rng(3))
+    outs = [model.forward(x), model.forward(x[:1])]
+    providers = _array_providers(model)
     outs.append(model.forward_streamed(x[:1], providers))
     logits = model.forward(x, training=True)
     dloss = np.random.default_rng(4).standard_normal(logits.shape).astype(np.float32)
@@ -69,6 +74,17 @@ def test_zoo_forwards_equal_the_reference_kernels(name):
     with oracle_layers():
         want = _zoo_run(PROXIES[name], x)
     _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("name", sorted(PROXIES))
+def test_zoo_streamed_batch_equals_lone_samples(name):
+    model = PROXIES[name].proxy(np.random.default_rng(3))
+    providers = _array_providers(model)
+    x = np.random.default_rng(5).standard_normal((3, *PROXY_INPUT_SHAPES[name]))
+    x = x.astype(np.float32)
+    batched = model.forward_streamed(x, providers)
+    lone = [model.forward_streamed(x[i : i + 1], providers)[0] for i in range(3)]
+    _assert_bitwise(list(batched), lone)
 
 
 def _served_replies(archive, inputs: list[np.ndarray]) -> list[np.ndarray]:

@@ -114,6 +114,42 @@ class TestBitIdentity:
             blob = CompressedBlob.rebuild(archive.codecs[name], payload)
             np.testing.assert_array_equal(cached, provider_for(blob).materialize())
 
+    def test_empty_batch(self):
+        assert served().forward_batch([]) == []
+
+    def test_raw_layers_batch_like_lone_requests(self):
+        # the bench MLP leaves dense_2 (64 -> 10) raw: one GEMM over the
+        # stacked batch would round its rows differently from lone ones
+        from repro.serve.demo import BENCH_INPUT_SHAPE, bench_model
+
+        sm = bench_model()
+        assert sm.compressed_layers == ["dense_1"]
+        xs = inputs(8, BENCH_INPUT_SHAPE)
+        for b, s in zip(sm.forward_batch(xs), [sm.forward(x) for x in xs]):
+            assert b.tobytes() == s.tobytes()
+
+    def test_mixed_input_sizes_equal_lone_replies(self):
+        # global pooling takes any input size; without an input_shape a
+        # batch may mix sizes, and each walks with its own shape
+        from repro.nn import zoo
+
+        model = zoo.mobilenet.proxy(np.random.default_rng(0))
+        archive = compress_model(
+            model, {"conv1": 10.0, "conv_dw_1": 10.0, "conv_preds": 10.0}
+        )
+        sm = ServedModel(zoo.mobilenet.proxy(np.random.default_rng(0)), archive)
+        xs = [
+            x
+            for a, b in zip(inputs(3, (3, 32, 32), seed=1), inputs(3, (3, 24, 24), seed=2))
+            for x in (a, b)
+        ]
+        batched = sm.forward_batch(xs)
+        assert len(batched) == len(xs)
+        for b, x in zip(batched, xs):
+            s = sm.forward(x)
+            assert b.dtype == s.dtype and b.shape == s.shape
+            assert b.tobytes() == s.tobytes()
+
     def test_identity_survives_eviction(self):
         # a cache too small for the layer: every batch re-decodes, the
         # outputs must not care
