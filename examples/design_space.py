@@ -28,13 +28,14 @@ model = lenet5.proxy(np.random.default_rng(7))
 print("training LeNet-5 proxy...")
 train(model, split.x_train, split.y_train,
       TrainConfig(epochs=6, batch_size=64, lr=0.05))
-pipeline = CompressionPipeline(model, split.x_test, split.y_test)
+layer = lenet5.SELECTED_LAYER
+pipeline = CompressionPipeline(model, split.x_test, split.y_test, layer)
 
 # --- latency/energy axis: accelerator simulation of the full model ------
 acc = Accelerator()
 spec = lenet5.full()
 base = acc.run_model(spec, mode="flit")
-weights = spec.materialize("dense_1").ravel()
+weights = spec.materialize(layer).ravel()
 
 points = []
 deltas = (0.0, 5.0, 10.0, 15.0, 20.0, 30.0)
@@ -42,7 +43,7 @@ for delta in deltas:
     record = pipeline.run_delta(delta)
     blob = get_codec("linefit", delta_pct=delta).encode(weights)
     effect = acc.compression_effect(blob)
-    result = acc.run_model(spec, {"dense_1": effect}, mode="flit")
+    result = acc.run_model(spec, {layer: effect}, mode="flit")
     points.append(
         DesignPoint(
             label=f"x-{delta:.0f}",

@@ -70,7 +70,7 @@ from .codecs import (
 from .compression import StorageFormat
 from .decompressor import DecodePlan, DecompressorTiming, WeightStream
 from .errors import FaultError, IntegrityError
-from .layer_selection import select_layer, select_layer_model, select_multi
+from .layer_selection import select_layer, select_multi
 from .metrics import (
     CompressionReport,
     footprint_ratio,
@@ -81,7 +81,7 @@ from .model_store import ModelArchive, compress_model, load_archive
 from .multilayer import MultiLayerPlan, optimize_multilayer
 from .pareto import DesignPoint, dominates, knee_point, pareto_front
 from .pruning import PrunedTensor, prune_magnitude, pruned_footprint_bytes
-from .pipeline import CompressionPipeline, DeltaRecord, apply_compression
+from .pipeline import CompressionPipeline, DeltaRecord
 from .provider import (
     ArrayProvider,
     BlobProvider,
@@ -127,7 +127,6 @@ __all__ = [
     "is_weak_monotonic",
     "segment_boundaries",
     "select_layer",
-    "select_layer_model",
     "select_multi",
     "MultiLayerPlan",
     "optimize_multilayer",
@@ -140,7 +139,6 @@ __all__ = [
     "pareto_front",
     "CompressionPipeline",
     "DeltaRecord",
-    "apply_compression",
     "QuantizedTensor",
     "quantize_model",
     "quantize_tensor",

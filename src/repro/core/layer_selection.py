@@ -10,7 +10,9 @@ slightly *larger* than ``fc1000`` but much shallower), so the policy is:
 consider every parametric layer whose parameter count is within
 ``tolerance`` of the maximum, then pick the deepest of those.  With the
 default 25 % tolerance this reproduces the paper's Tab. I selection for
-all six models.
+all six models; each zoo module records that pick as ``SELECTED_LAYER``,
+which the experiments compress on both the full-scale model and its
+proxy.
 
 ``select_multi`` implements the paper's *future work* extension: a
 greedy multi-layer selection maximizing footprint reduction under an
@@ -19,42 +21,20 @@ accuracy-driven depth constraint.
 
 from __future__ import annotations
 
-
 from ..nn.arch import ArchSpec, LayerSpec
-from ..nn.graph import Model
 
-__all__ = ["select_layer", "select_layer_model", "select_multi"]
-
-
-def _pick(records: list[tuple[str, int, int]], tolerance: float) -> str:
-    """records = (name, params, depth); deepest among near-maximal."""
-    if not records:
-        raise ValueError("model has no parametric layers")
-    max_params = max(p for _, p, _ in records)
-    threshold = (1.0 - tolerance) * max_params
-    candidates = [r for r in records if r[1] >= threshold]
-    return max(candidates, key=lambda r: r[2])[0]
+__all__ = ["select_layer", "select_multi"]
 
 
 def select_layer(spec: ArchSpec, tolerance: float = 0.25) -> LayerSpec:
-    """Select the compression target of a full-scale model."""
-    records = [
-        (l.name, l.weight_params, l.depth) for l in spec.parametric_layers()
-    ]
-    return spec.layer(_pick(records, tolerance))
-
-
-def select_layer_model(model: Model, tolerance: float = 0.25) -> str:
-    """Select the compression target node of a trainable proxy model.
-
-    Bias parameters are excluded from the size criterion, mirroring the
-    full-model policy (only the weight tensor is compressed).
-    """
-    records = []
-    for depth, (name, layer) in enumerate(model.parametric_layers()):
-        weight = layer.params()[0]
-        records.append((name, weight.size, depth))
-    return _pick(records, tolerance)
+    """Select the compression target of a full-scale model: the deepest
+    layer among those within ``tolerance`` of the largest weight count."""
+    layers = spec.parametric_layers()
+    if not layers:
+        raise ValueError("model has no parametric layers")
+    threshold = (1.0 - tolerance) * max(l.weight_params for l in layers)
+    candidates = [l for l in layers if l.weight_params >= threshold]
+    return max(candidates, key=lambda l: l.depth)
 
 
 def select_multi(

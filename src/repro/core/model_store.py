@@ -19,12 +19,13 @@ verified before decoding; the line-fit wire payload additionally
 carries its own per-frame framing (:mod:`repro.core.codec` version 3).
 Version-1 archives (no checksums, v2 wire payloads) still load and
 apply — the legacy fallback.  :meth:`ModelArchive.decode_layer` is the
-one path from a compressed layer to its weights, for both
-:meth:`ModelArchive.apply` and the serving path
-(``repro.serve.ServedModel``).  On damage it follows a per-layer
-degradation policy: ``"raise"`` (default), ``"zero"`` (salvage
-undamaged segments, zero the rest), or ``"raw"`` (restore the optional
-uncompressed fallback copy).
+one path from a compressed layer to its weights: for the accuracy of
+``CompressionPipeline`` and ``optimize_multilayer`` (each builds an
+archive with :func:`compress_model`), for :meth:`ModelArchive.apply`
+and for the serving path (``repro.serve.ServedModel``).  On damage it
+follows a per-layer degradation policy: ``"raise"`` (default),
+``"zero"`` (salvage undamaged segments, zero the rest), or ``"raw"``
+(restore the optional uncompressed fallback copy).
 
 Format: a ``.npz`` with
   ``meta.format``              archive format version (absent = 1)

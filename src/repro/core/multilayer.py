@@ -16,6 +16,11 @@ according to the most profitable energy/latency/accuracy trade-off"
    the greedy re-check keeps the result feasible), until the accuracy
    budget is exhausted or no candidate helps.
 
+Every accuracy, solo or joint, is measured through a
+:class:`~repro.core.model_store.ModelArchive` built from the untouched
+model (``compress_model`` -> ``decode_layer``, the route serving
+takes), so the model is never left compressed between steps.
+
 The output maps layer names to delta values, directly consumable by
 ``Accelerator.run_model`` via per-layer ``CompressionEffect``s.  The
 compressor is pluggable: any :mod:`repro.core.codecs` spec works, with
@@ -41,7 +46,8 @@ from ..runtime import (
     run_tasks,
 )
 from .codecs import Codec, get_codec
-from .pipeline import apply_compression
+from .model_store import compress_model
+from .pipeline import _evaluate_archive
 
 __all__ = ["Candidate", "MultiLayerPlan", "optimize_multilayer"]
 
@@ -75,31 +81,27 @@ class MultiLayerPlan:
         return self.baseline_accuracy - self.accuracy
 
 
-def _acc(model: Model, x, y, top_k: int) -> float:
-    res = evaluate(model, x, y)
+def _top_k(res, top_k: int) -> float:
     return res.top1 if top_k == 1 else res.top5
 
 
-def _solo_accuracy(
+def _archived_accuracy(
     model: Model,
     x_test: np.ndarray,
     y_test: np.ndarray,
     top_k: int,
-    layer: str,
-    delta_pct: float,
+    assignments: dict[str, float],
     codec: str | Codec,
 ) -> float:
-    """Accuracy with one (layer, delta) applied alone; restores the model.
+    """Accuracy with ``assignments`` (layer -> delta) compressed together.
 
+    The layers go through one archive and come back restored.
     Module-level so candidate generation can fan out over a process
-    pool; in-worker the model is a pickled private copy, serially the
-    ``finally`` puts the caller's weights back.
+    pool; in-worker the model is a pickled private copy.
     """
-    _, original = apply_compression(model, layer, float(delta_pct), codec=codec)
-    try:
-        return _acc(model, x_test, y_test, top_k)
-    finally:
-        model.set_weights(layer, original)
+    archive = compress_model(model, assignments, include_state=False, codec=codec)
+    res, _ = _evaluate_archive(model, archive, x_test, y_test)
+    return _top_k(res, top_k)
 
 
 def _layer_savings(
@@ -154,7 +156,7 @@ def optimize_multilayer(
     """
     if max_accuracy_drop < 0:
         raise ValueError("max_accuracy_drop must be non-negative")
-    baseline = _acc(model, x_test, y_test, top_k)
+    baseline = _top_k(evaluate(model, x_test, y_test), top_k)
 
     full_layers = {l.name: l for l in spec.parametric_layers()}
     max_depth = max(l.depth for l in full_layers.values())
@@ -180,8 +182,8 @@ def optimize_multilayer(
         }
     acc_tasks = [
         GridTask(
-            fn=_solo_accuracy,
-            args=(model, x_test, y_test, top_k, name, delta, codec),
+            fn=_archived_accuracy,
+            args=(model, x_test, y_test, top_k, {name: delta}, codec),
             key=result_key("solo-acc", layer=name, delta_pct=delta, **acc_base)
             if acc_base is not None
             else None,
@@ -243,43 +245,18 @@ def optimize_multilayer(
         reverse=True,
     )
 
-    def _apply(layer: str, delta_pct: float) -> None:
-        codec_obj = (
-            codec
-            if isinstance(codec, Codec)
-            else get_codec(codec, delta_pct=delta_pct)
-        )
-        blob = codec_obj.encode(originals[layer].ravel())
-        model.set_weights(
-            layer, codec_obj.decode(blob).reshape(originals[layer].shape)
-        )
-
     # 2. greedy assembly with joint re-measurement
     assignments: dict[str, float] = {}
-    originals: dict[str, np.ndarray] = {}
     current_acc = baseline
-    try:
-        for cand in candidates:
-            if cand.layer in assignments and assignments[cand.layer] >= cand.delta_pct:
-                continue
-            # tentatively apply (possibly replacing a milder delta)
-            if cand.layer in assignments:
-                model.set_weights(cand.layer, originals[cand.layer])
-            else:
-                originals[cand.layer] = model.get_weights(cand.layer).copy()
-            _apply(cand.layer, cand.delta_pct)
-            acc = _acc(model, x_test, y_test, top_k)
-            if baseline - acc <= max_accuracy_drop:
-                assignments[cand.layer] = cand.delta_pct
-                current_acc = acc
-            else:  # revert
-                if cand.layer in assignments:
-                    _apply(cand.layer, assignments[cand.layer])
-                else:
-                    model.set_weights(cand.layer, originals.pop(cand.layer))
-    finally:
-        for name, w in originals.items():
-            model.set_weights(name, w)
+    for cand in candidates:
+        if cand.layer in assignments and assignments[cand.layer] >= cand.delta_pct:
+            continue
+        # the accepted set plus this candidate (possibly replacing a
+        # milder delta of the same layer)
+        trial = {**assignments, cand.layer: cand.delta_pct}
+        acc = _archived_accuracy(model, x_test, y_test, top_k, trial, codec)
+        if baseline - acc <= max_accuracy_drop:
+            assignments, current_acc = trial, acc
 
     saving = sum(
         saving_lookup[(name, delta)] for name, delta in assignments.items()

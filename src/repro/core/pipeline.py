@@ -1,10 +1,15 @@
 """End-to-end evaluation flow of the paper's Fig. 8.
 
 ``CompressionPipeline`` wires the blocks together for a trainable proxy
-model: *Layer Selection* -> *parameter extraction* -> *compression
-(delta)* -> *decompression* -> *approximated network* -> *test-set
-accuracy*, returning one record per delta value.  The latency/energy leg
-of Fig. 8 (the simulation platform) lives in
+model: the caller's selected layer -> *parameter extraction* ->
+*compression (delta)* -> *decompression* -> *approximated network* ->
+*test-set accuracy*, returning one record per delta value.  Compression
+and decompression go through a :class:`~repro.core.model_store.ModelArchive`
+(:func:`~repro.core.model_store.compress_model`, then
+:meth:`~repro.core.model_store.ModelArchive.decode_layer`), the route
+``apply()`` and serving take, so the accuracy a record reports is that
+of the weights the serve path computes.  The latency/energy leg of
+Fig. 8 (the simulation platform) lives in
 :mod:`repro.mapping.accelerator`; :mod:`repro.experiments.fig10_tradeoff`
 joins the two.
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from .. import obs
 from ..nn.graph import Model
-from ..nn.train import evaluate
+from ..nn.train import EvalResult, evaluate
 from ..obs import MetricsRegistry
 from ..runtime import (
     GridTask,
@@ -36,10 +41,9 @@ from ..runtime import (
 )
 from .codecs import Codec, CompressedBlob, get_codec
 from .codecs.base import stream_mse
-from .compression import StorageFormat
-from .layer_selection import select_layer_model
+from .model_store import ModelArchive, compress_model
 
-__all__ = ["DeltaRecord", "CompressionPipeline", "apply_compression"]
+__all__ = ["DeltaRecord", "CompressionPipeline"]
 
 
 @dataclass(frozen=True)
@@ -55,10 +59,7 @@ class DeltaRecord:
 
 
 def _layer_codec(
-    codec: str | Codec,
-    delta_pct: float,
-    fmt: StorageFormat | None = None,
-    quantize_first: bool = False,
+    codec: str | Codec, delta_pct: float, quantize_first: bool = False
 ) -> Codec:
     """Build the per-delta codec instance a sweep step uses.
 
@@ -72,17 +73,10 @@ def _layer_codec(
     if isinstance(codec, Codec):
         return codec
     params: dict = {"delta_pct": float(delta_pct)}
-    terminal = codec.rsplit("|", 1)[-1].strip()
     if quantize_first:
+        if codec.rsplit("|", 1)[-1].strip() == "linefit":
+            params["fmt"] = "int8"
         codec = f"quantize-int8|{codec}"
-        if terminal == "linefit" and fmt is None:
-            fmt = StorageFormat.int8()
-    if fmt is not None:
-        if terminal != "linefit":
-            raise ValueError(
-                f"storage format applies to the linefit codec, not {terminal!r}"
-            )
-        params["fmt"] = fmt
     return get_codec(codec, **params)
 
 
@@ -96,26 +90,30 @@ def _sweep_point(pipeline: "CompressionPipeline", delta_pct: float) -> DeltaReco
     return pipeline.run_delta(delta_pct)
 
 
-def apply_compression(
-    model: Model,
-    layer_name: str,
-    delta_pct: float,
-    fmt: StorageFormat | None = None,
-    codec: str | Codec = "linefit",
-) -> tuple[CompressedBlob, np.ndarray]:
-    """Compress one layer in place; returns (blob, original weights).
+def _evaluate_archive(
+    model: Model, archive: ModelArchive, x_test: np.ndarray, y_test: np.ndarray
+) -> tuple[EvalResult, dict[str, np.ndarray]]:
+    """Accuracy of ``model`` with ``archive``'s compressed layers installed.
 
-    The layer's weight tensor is replaced by the decompressed
-    approximation (C-order round trip), exactly as the evaluation flow
-    prescribes.  Callers restore with ``model.set_weights(layer_name,
-    original)``.  ``codec`` is any registry spec or instance.
+    Each layer's weights come from :meth:`ModelArchive.decode_layer`,
+    the path ``apply()`` and serving take.  Returns the evaluation and
+    the decoded flat streams (layer -> weights); the model's own tensors
+    are back in place on return.
     """
-    original = model.get_weights(layer_name).copy()
-    codec_obj = _layer_codec(codec, delta_pct, fmt=fmt)
-    blob = codec_obj.encode(original.ravel())
-    approx = codec_obj.decode(blob).reshape(original.shape)
-    model.set_weights(layer_name, approx)
-    return blob, original
+    o = obs.current()
+    originals: dict[str, np.ndarray] = {}
+    decoded: dict[str, np.ndarray] = {}
+    try:
+        with o.span("pipeline.decode", cat="pipeline"):
+            for name, (_, shape) in archive.compressed.items():
+                decoded[name], _ = archive.decode_layer(name)
+                originals[name] = model.get_weights(name)
+                model.set_weights(name, decoded[name].reshape(shape))
+        with o.span("pipeline.evaluate", cat="pipeline"):
+            return evaluate(model, x_test, y_test), decoded
+    finally:
+        for name, weights in originals.items():
+            model.set_weights(name, weights)
 
 
 class CompressionPipeline:
@@ -129,7 +127,9 @@ class CompressionPipeline:
     x_test, y_test:
         Held-out evaluation data.
     layer_name:
-        Compression target; defaults to the paper's selection policy.
+        Compression target.  The experiments pass the zoo module's
+        ``SELECTED_LAYER`` (Tab. I), the layer their simulation
+        compresses.
     quantize_first:
         If True, the selected layer is int8-quantized before compression
         (the Tab. III stacking experiment): the sweep runs the
@@ -147,14 +147,14 @@ class CompressionPipeline:
         model: Model,
         x_test: np.ndarray,
         y_test: np.ndarray,
-        layer_name: str | None = None,
+        layer_name: str,
         quantize_first: bool = False,
         codec: str | Codec = "linefit",
     ) -> None:
         self.model = model
         self.x_test = x_test
         self.y_test = y_test
-        self.layer_name = layer_name or select_layer_model(model)
+        self.layer_name = layer_name
         self.quantize_first = quantize_first
         self.codec = codec
         self.baseline = evaluate(model, x_test, y_test)
@@ -187,31 +187,33 @@ class CompressionPipeline:
         return self._fingerprint
 
     def run_delta(self, delta_pct: float) -> DeltaRecord:
-        """Evaluate one delta value; the model is restored afterwards."""
+        """Evaluate one delta value; the model is restored afterwards.
+
+        The layer is compressed into an archive and evaluated with the
+        weights the archive decodes (:func:`_evaluate_archive`); the MSE
+        is taken on that one decode.
+        """
         o = obs.current()
-        original = self.model.get_weights(self.layer_name).copy()
-        try:
-            with o.span(
-                "pipeline.run_delta",
-                cat="pipeline",
-                delta_pct=delta_pct,
-                layer=self.layer_name,
-            ):
-                codec = _layer_codec(
-                    self.codec, delta_pct, quantize_first=self.quantize_first
+        layer = self.layer_name
+        with o.span(
+            "pipeline.run_delta", cat="pipeline", delta_pct=delta_pct, layer=layer
+        ):
+            codec = _layer_codec(
+                self.codec, delta_pct, quantize_first=self.quantize_first
+            )
+            with o.span("pipeline.encode", cat="pipeline"):
+                archive = compress_model(
+                    self.model, {layer: delta_pct}, include_state=False, codec=codec
                 )
-                with o.span("pipeline.encode", cat="pipeline"):
-                    blob = codec.encode(original.ravel())
-                with o.span("pipeline.decode", cat="pipeline"):
-                    approx = codec.decode(blob).reshape(original.shape)
-                    mse = stream_mse(approx, original)
-                self.model.set_weights(self.layer_name, approx)
-                with o.span("pipeline.evaluate", cat="pipeline"):
-                    result = evaluate(self.model, self.x_test, self.y_test)
-                o.count("pipeline.deltas_evaluated")
-                o.count("pipeline.compressed_bytes", blob.compressed_bytes)
-        finally:
-            self.model.set_weights(self.layer_name, original)
+            result, decoded = _evaluate_archive(
+                self.model, archive, self.x_test, self.y_test
+            )
+            mse = stream_mse(decoded[layer], self.model.get_weights(layer))
+            blob = CompressedBlob.rebuild(
+                archive.codecs[layer], archive.compressed[layer][0]
+            )
+            o.count("pipeline.deltas_evaluated")
+            o.count("pipeline.compressed_bytes", blob.compressed_bytes)
         return DeltaRecord(
             delta_pct=delta_pct,
             top1=result.top1,

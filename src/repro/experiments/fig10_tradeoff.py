@@ -6,12 +6,16 @@ energy.  Two instruments are combined, as in the evaluation flow of
 Fig. 8:
 
 * **accuracy** comes from the trained *proxy* network: the selected
-  layer is compressed/decompressed at each delta and the test accuracy
-  measured (``repro.core.pipeline``);
+  layer (the zoo module's ``SELECTED_LAYER``) is compressed into an
+  archive at each delta, decoded the way serving decodes it, and the
+  test accuracy measured (``repro.core.pipeline``);
 * **latency/energy** come from the accelerator simulation of the
-  *full-scale* architecture, with the selected layer's weight stream
+  *full-scale* architecture, with the same layer's weight stream
   compressed at the same delta (flit-level for LeNet-5, transaction
   model for the large networks).
+
+So every point pairs the accuracy and the latency of one layer's
+compression.
 
 Reproduction targets: latency and energy fall monotonically with delta
 (strongly for LeNet/AlexNet/VGG, weakly for MobileNet/Inception/ResNet
@@ -132,7 +136,7 @@ def tradeoff_for(
 ) -> ModelTradeoff:
     layer = module.SELECTED_LAYER
     model, split = trained_proxy(module, seed=seed, fast=fast)
-    pipeline = CompressionPipeline(model, split.x_test, split.y_test)
+    pipeline = CompressionPipeline(model, split.x_test, split.y_test, layer)
     top_k = module.TOP_K
     baseline_acc = _accuracy_of(pipeline.baseline, top_k)
 

@@ -144,10 +144,12 @@ def sweep_model(
     qt_res = evaluate(model, split.x_test, split.y_test)
     qt_acc = qt_res.top1 if top_k == 1 else qt_res.top5
 
-    # compression on top: the pipeline quantizes the selected layer
-    # internally, with all other layers already at int8 precision
+    # compression on top: the pipeline quantizes the selected layer (the
+    # one _full_scale_quant_cr compresses) internally, with all other
+    # layers already at int8 precision
     pipeline = CompressionPipeline(
-        model, split.x_test, split.y_test, quantize_first=True
+        model, split.x_test, split.y_test, module.SELECTED_LAYER,
+        quantize_first=True,
     )
     deltas = [float(pct) for pct in _DELTAS[module.NAME]]
     keys: list[str | None] = [None] * len(deltas)

@@ -72,7 +72,7 @@ class TestAccuracyUnderActivationCompression:
         act_acc = evaluate_with_compressed_activations(
             model, split.x_test, split.y_test, delta_pct=2.0
         )
-        pipe = CompressionPipeline(model, split.x_test, split.y_test)
+        pipe = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         weight_acc = pipe.run_delta(2.0).top1
         # at the same small delta, weight compression is ~free while
         # activation compression costs real accuracy

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.layer_selection import select_layer, select_layer_model, select_multi
+from repro.core.layer_selection import select_layer, select_multi
 from repro.nn import zoo
-from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
-from repro.nn.sequential import Sequential
+from repro.nn.arch import ArchSpec
 
 
 class TestPaperSelection:
@@ -32,24 +31,9 @@ class TestPaperSelection:
             l.weight_params for l in spec.parametric_layers()
         )
 
-
-class TestModelSelection:
-    def test_proxy_selection_matches_policy(self, rng):
-        m = Sequential(
-            [
-                ("conv_1", Conv2D(1, 4, 3, rng=rng)),
-                ("relu", ReLU()),
-                ("flat", Flatten()),
-                ("dense_1", Dense(4 * 6 * 6, 32, rng=rng)),
-                ("dense_2", Dense(32, 10, rng=rng)),
-            ]
-        )
-        assert select_layer_model(m) == "dense_1"
-
     def test_no_parametric_layers(self):
-        m = Sequential([("relu", ReLU())])
         with pytest.raises(ValueError):
-            select_layer_model(m)
+            select_layer(ArchSpec("empty", (1, 28, 28)))
 
 
 class TestMultiSelection:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.codecs import get_codec
 from repro.core.errors import CodecError, IntegrityError
 from repro.core.model_store import FORMAT_VERSION, compress_model, load_archive
 from repro.datasets import train_test
@@ -52,16 +53,20 @@ class TestApplyAndRoundTrip:
         archive = compress_model(model, {"dense_1": 10.0})
         fresh = lenet5.proxy(np.random.default_rng(99))
         archive.apply(fresh)
-        # the fresh model behaves like the compressed original
-        from repro.core.pipeline import apply_compression
-
-        stream, original = apply_compression(model, "dense_1", 10.0)
-        np.testing.assert_allclose(
-            fresh.predict(split.x_test[:64]),
-            model.predict(split.x_test[:64]),
-            rtol=1e-5,
-        )
-        model.set_weights("dense_1", original)
+        # the fresh model behaves like the original with dense_1 put
+        # through the codec directly
+        original = model.get_weights("dense_1")
+        codec = get_codec("linefit", delta_pct=10.0)
+        approx = codec.decode(codec.encode(original.ravel()))
+        model.set_weights("dense_1", approx.reshape(original.shape))
+        try:
+            np.testing.assert_allclose(
+                fresh.predict(split.x_test[:64]),
+                model.predict(split.x_test[:64]),
+                rtol=1e-5,
+            )
+        finally:
+            model.set_weights("dense_1", original)
 
     def test_file_roundtrip(self, trained, tmp_path):
         model, split = trained

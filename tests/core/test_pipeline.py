@@ -5,11 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.pipeline import CompressionPipeline, apply_compression
+from repro.core.model_store import compress_model
+from repro.core.pipeline import CompressionPipeline
 from repro.core.sensitivity import layer_sensitivity, normalized_sensitivity
 from repro.datasets import train_test
 from repro.nn import TrainConfig, train
+from repro.nn.train import topk_accuracy
 from repro.nn.zoo import lenet5
+from repro.serve import ServedModel
 
 
 @pytest.fixture(scope="module")
@@ -20,52 +23,28 @@ def trained_lenet():
     return model, split
 
 
-class TestApplyCompression:
-    def test_layer_replaced_and_restorable(self, trained_lenet):
-        model, _ = trained_lenet
-        before = model.get_weights("dense_1").copy()
-        stream, original = apply_compression(model, "dense_1", 10.0)
-        after = model.get_weights("dense_1")
-        assert not np.array_equal(after, before)
-        np.testing.assert_array_equal(original, before)
-        assert stream.num_weights == before.size
-        model.set_weights("dense_1", original)
-        np.testing.assert_array_equal(model.get_weights("dense_1"), before)
-
-    def test_shape_preserved(self, trained_lenet):
-        model, _ = trained_lenet
-        _, original = apply_compression(model, "dense_1", 5.0)
-        assert model.get_weights("dense_1").shape == original.shape
-        model.set_weights("dense_1", original)
-
-
 class TestCompressionPipeline:
-    def test_default_layer_is_papers_choice(self, trained_lenet):
-        model, split = trained_lenet
-        p = CompressionPipeline(model, split.x_test, split.y_test)
-        assert p.layer_name == "dense_1"
-
     def test_baseline_accuracy_reasonable(self, trained_lenet):
         model, split = trained_lenet
-        p = CompressionPipeline(model, split.x_test, split.y_test)
+        p = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         assert p.baseline.top1 > 0.85
 
     def test_delta0_accuracy_near_baseline(self, trained_lenet):
         model, split = trained_lenet
-        p = CompressionPipeline(model, split.x_test, split.y_test)
+        p = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         rec = p.run_delta(0.0)
         assert abs(rec.top1 - p.baseline.top1) < 0.05
 
     def test_model_restored_after_each_delta(self, trained_lenet):
         model, split = trained_lenet
         before = model.get_weights("dense_1").copy()
-        p = CompressionPipeline(model, split.x_test, split.y_test)
+        p = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         p.run_delta(20.0)
         np.testing.assert_array_equal(model.get_weights("dense_1"), before)
 
     def test_sweep_cr_monotonic(self, trained_lenet):
         model, split = trained_lenet
-        p = CompressionPipeline(model, split.x_test, split.y_test)
+        p = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         recs = p.sweep([0.0, 10.0, 20.0])
         crs = [r.cr for r in recs]
         assert crs == sorted(crs)
@@ -73,18 +52,42 @@ class TestCompressionPipeline:
     def test_accuracy_eventually_degrades(self, trained_lenet):
         """Very large delta wipes out the layer's information."""
         model, split = trained_lenet
-        p = CompressionPipeline(model, split.x_test, split.y_test)
+        p = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         rec = p.run_delta(100.0)
         assert rec.top1 < p.baseline.top1
 
     def test_quantized_pipeline_runs(self, trained_lenet):
         model, split = trained_lenet
         p = CompressionPipeline(
-            model, split.x_test, split.y_test, quantize_first=True
+            model, split.x_test, split.y_test, "dense_1", quantize_first=True
         )
         rec = p.run_delta(5.0)
         assert rec.cr > 0
         assert 0.0 <= rec.top1 <= 1.0
+
+    @pytest.mark.parametrize("delta", [0.0, 10.0, 20.0])
+    def test_reported_accuracy_is_served_accuracy(self, trained_lenet, delta):
+        """The top-1 ``run_delta`` reports is the top-1 of the replies a
+        ``ServedModel`` over the same archive gives in batches of 4, and
+        every reply's prediction is the materialized forward's.  Logits
+        are not compared bitwise: the materialized GEMM and the
+        tile-streamed forward round differently by design."""
+        model, split = trained_lenet
+        record = CompressionPipeline(
+            model, split.x_test, split.y_test, "dense_1"
+        ).run_delta(delta)
+        archive = compress_model(model, {"dense_1": delta})
+        served = ServedModel(lenet5.proxy(np.random.default_rng(0)), archive)
+        xs = list(split.x_test)
+        replies = np.stack(
+            [row for i in range(0, len(xs), 4) for row in served.forward_batch(xs[i : i + 4])]
+        )
+        assert topk_accuracy(replies, split.y_test, 1) == record.top1
+        applied = lenet5.proxy(np.random.default_rng(1))
+        archive.apply(applied)
+        np.testing.assert_array_equal(
+            replies.argmax(axis=1), applied.predict(split.x_test).argmax(axis=1)
+        )
 
 
 class TestSensitivity:

@@ -256,3 +256,74 @@ class TestBestStateRestore:
         # the bug: params were restored but buffers kept stage-2 values
         np.testing.assert_array_equal(bn.running_mean, 1.0)
         np.testing.assert_array_equal(bn.running_var, 1.0)
+
+
+class TestAccuracyLayerIsSimulatedLayer:
+    """Fig. 10 and Tab. III measure accuracy with the layer their
+    simulation and weighted CR compress: the module's ``SELECTED_LAYER``.
+
+    Nothing is trained or simulated: the proxies are untrained, the
+    split is six samples, the full-scale legs are stubbed, and a spy on
+    the pipeline's ``evaluate`` records which layers differ from the
+    baseline's weights each time a compressed proxy is measured.
+    """
+
+    @pytest.fixture
+    def changed_layers(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.core import pipeline
+        from repro.datasets import Split
+        from repro.experiments import common, fig10_tradeoff, table3_quantized
+
+        def untrained_proxy(module, seed=7, fast=None):
+            shape = common.PROXY_INPUT_SHAPES[module.NAME]
+            x = np.random.default_rng(0).standard_normal((6, *shape)).astype(np.float32)
+            y = np.arange(6) % 5
+            return module.proxy(np.random.default_rng(seed)), Split(x, y, x, y)
+
+        def no_sim(model_name, pct, fast, streamed=False):
+            return SimpleNamespace(
+                total_latency=SimpleNamespace(
+                    total=1.0, memory=0.5, communication=0.25, computation=0.25
+                ),
+                total_energy=SimpleNamespace(total=1.0, dynamic={}, leakage={}),
+            )
+
+        seen: list[set[str]] = []
+        baseline: dict[str, np.ndarray] = {}
+        real_evaluate = pipeline.evaluate
+
+        def spy(model, x, y, *args, **kwargs):
+            weights = {n: l.params()[0].data for n, l in model.parametric_layers()}
+            if not baseline:  # the pipeline's own baseline evaluation
+                baseline.update((n, w.copy()) for n, w in weights.items())
+            else:
+                seen.append({n for n, w in weights.items() if not np.array_equal(w, baseline[n])})
+            return real_evaluate(model, x, y, *args, **kwargs)
+
+        monkeypatch.setattr(fig10_tradeoff, "trained_proxy", untrained_proxy)
+        monkeypatch.setattr(table3_quantized, "trained_proxy", untrained_proxy)
+        monkeypatch.setattr(fig10_tradeoff, "_fig10_sim", no_sim)
+        monkeypatch.setattr(table3_quantized, "_full_scale_quant_cr", lambda *a: 1.0)
+        monkeypatch.setattr(pipeline, "evaluate", spy)
+        return seen
+
+    @pytest.mark.parametrize("module", zoo.ALL_MODELS, ids=lambda m: m.NAME)
+    def test_fig10(self, module, changed_layers, monkeypatch):
+        from repro.experiments import fig10_tradeoff
+
+        monkeypatch.setattr(module, "DELTA_GRID", (10.0,))
+        result = fig10_tradeoff.tradeoff_for(module, fast=True, jobs=1)
+        assert result.layer == module.SELECTED_LAYER
+        assert changed_layers == [{module.SELECTED_LAYER}]
+
+    @pytest.mark.parametrize(
+        "module", [zoo.lenet5, zoo.alexnet, zoo.vgg16], ids=lambda m: m.NAME
+    )
+    def test_table3(self, module, changed_layers, monkeypatch):
+        from repro.experiments import table3_quantized
+
+        monkeypatch.setitem(table3_quantized._DELTAS, module.NAME, (10.0,))
+        table3_quantized.sweep_model(module, fast=True, jobs=1)
+        assert changed_layers == [{module.SELECTED_LAYER}]

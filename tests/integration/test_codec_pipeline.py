@@ -37,7 +37,9 @@ class TestCrossCodecSweep:
     @pytest.mark.parametrize("codec", ["huffman", "rle"])
     def test_lossless_codecs_change_nothing(self, trained, codec):
         model, split = trained
-        pipe = CompressionPipeline(model, split.x_test, split.y_test, codec=codec)
+        pipe = CompressionPipeline(
+            model, split.x_test, split.y_test, "dense_1", codec=codec
+        )
         base = pipe.baseline
         for rec in pipe.sweep(DELTAS):
             # exact reconstruction: accuracy is bit-identical to baseline
@@ -52,7 +54,7 @@ class TestCrossCodecSweep:
 
     def test_linefit_reproduces_reference_crs(self, trained):
         model, split = trained
-        pipe = CompressionPipeline(model, split.x_test, split.y_test)
+        pipe = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         w = model.get_weights(pipe.layer_name).ravel()
         for rec in pipe.sweep(DELTAS):
             codec = get_codec("linefit", delta_pct=rec.delta_pct)
@@ -63,7 +65,7 @@ class TestCrossCodecSweep:
 
     def test_linefit_zero_delta_hits_paper_anchor(self, trained):
         model, split = trained
-        pipe = CompressionPipeline(model, split.x_test, split.y_test)
+        pipe = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         rec = pipe.run_delta(0.0)
         # the paper's Tab. II delta=0 anchor (all models land on ~1.21)
         assert rec.cr == pytest.approx(1.21, abs=0.03)

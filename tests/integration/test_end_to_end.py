@@ -27,7 +27,7 @@ def system():
 class TestFullFlow:
     def test_delta_sweep_produces_usable_pareto_space(self, system):
         model, split, acc, spec = system
-        pipeline = CompressionPipeline(model, split.x_test, split.y_test)
+        pipeline = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         weights = spec.materialize("dense_1").ravel()
         base = acc.run_model(spec, mode="txn")
 
@@ -90,7 +90,7 @@ class TestFullFlow:
         """The paper's abstract, qualitatively: at a moderate delta the
         latency and energy drop substantially while accuracy moves little."""
         model, split, acc, spec = system
-        pipeline = CompressionPipeline(model, split.x_test, split.y_test)
+        pipeline = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         weights = spec.materialize("dense_1").ravel()
         base = acc.run_model(spec, mode="txn")
         record = pipeline.run_delta(15.0)

@@ -40,7 +40,7 @@ def lenet_proxy(tmp_path_factory):
 class TestPipelineSweep:
     def test_serial_parallel_warm_identical(self, lenet_proxy, tmp_path):
         model, split = lenet_proxy
-        pipeline = CompressionPipeline(model, split.x_test, split.y_test)
+        pipeline = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         cache = ResultCache(tmp_path, enabled=True)
 
         serial = pipeline.sweep(DELTAS, jobs=1)
@@ -59,9 +59,9 @@ class TestPipelineSweep:
     def test_cache_distinguishes_codec_and_delta(self, lenet_proxy, tmp_path):
         model, split = lenet_proxy
         cache = ResultCache(tmp_path, enabled=True)
-        linefit = CompressionPipeline(model, split.x_test, split.y_test)
+        linefit = CompressionPipeline(model, split.x_test, split.y_test, "dense_1")
         huffman = CompressionPipeline(
-            model, split.x_test, split.y_test, codec="huffman"
+            model, split.x_test, split.y_test, "dense_1", codec="huffman"
         )
         linefit.sweep((5.0,), cache=cache)
         t = MetricsRegistry()
@@ -73,14 +73,14 @@ class TestPipelineSweep:
     def test_cache_distinguishes_weights(self, lenet_proxy, tmp_path):
         model, split = lenet_proxy
         cache = ResultCache(tmp_path, enabled=True)
-        CompressionPipeline(model, split.x_test, split.y_test).sweep(
+        CompressionPipeline(model, split.x_test, split.y_test, "dense_1").sweep(
             (5.0,), cache=cache
         )
         original = model.get_weights("dense_1").copy()
         try:
             model.set_weights("dense_1", original * 1.01)
             t = MetricsRegistry()
-            CompressionPipeline(model, split.x_test, split.y_test).sweep(
+            CompressionPipeline(model, split.x_test, split.y_test, "dense_1").sweep(
                 (5.0,), cache=cache, metrics=t
             )
         finally:
