@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,10 @@ BASELINE = json.loads(BASELINE_PATH.read_text())
 #: fail when a workload runs more than this factor slower than the
 #: committed (machine-scaled) baseline
 MAX_SLOWDOWN = 2.0
+
+#: fail when an encode's traced peak grows past this factor of the
+#: committed bytes per segment
+MAX_PEAK_GROWTH = 1.1
 
 
 def _spin(n: int = 2_000_000) -> int:
@@ -274,6 +279,41 @@ def test_encode_throughput(benchmark, machine_scale):
             f"{entry['post_mbps']} MB/s / machine scale {machine_scale:.2f} / "
             f"slowdown guard {MAX_SLOWDOWN}) — encode throughput has "
             "regressed; if intentional, re-record benchmarks/BENCH_noc.json"
+        )
+
+
+def test_encode_peak_memory():
+    """Traced peak of the same line-fit encodes, in bytes per segment.
+
+    The codec packs each window into its message as the window is fit,
+    so an encode holds the packed body, the returned payload and about
+    one window: the peak must stay within ``MAX_PEAK_GROWTH`` of the
+    committed bytes per segment.  Traced bytes do not depend on the
+    host, so no machine scaling applies.
+    """
+    spec = BASELINE["encode_throughput"]
+    weights = (
+        np.random.default_rng(42)
+        .standard_normal(spec["num_weights"])
+        .astype(np.float32)
+    )
+    for pct, entry in spec["delta_pct"].items():
+        codec = LineFitCodec(delta_pct=float(pct))
+        tracemalloc.start()
+        try:
+            blob = codec.encode(weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_segment = peak / blob.num_segments
+        limit = entry["post_peak_bytes_per_segment"] * MAX_PEAK_GROWTH
+        assert per_segment <= limit, (
+            f"linefit encode at delta_pct={pct}: traced peak "
+            f"{per_segment:.2f} B/segment over the {limit:.2f} limit "
+            f"(committed {entry['post_peak_bytes_per_segment']} x "
+            f"{MAX_PEAK_GROWTH}) — the encode holds more than its body, its "
+            "payload and one window; if intentional, re-record "
+            "benchmarks/BENCH_noc.json"
         )
 
 

@@ -56,6 +56,7 @@ from .errors import CodecError, IntegrityError
 
 __all__ = [
     "encode",
+    "encode_windows",
     "encode_legacy",
     "decode",
     "parse_lenient",
@@ -145,9 +146,9 @@ def frame_trailer_bytes(num_segments: int) -> int:
     return 4 * (-(-int(num_segments) // SEGMENTS_PER_FRAME))
 
 
-#: the unsigned lane each coefficient width is written through; a 3-byte
-#: coefficient goes out as a 4-byte lane whose spare high byte the next
-#: field of the record overwrites
+#: the unsigned lane each coefficient width is written and read through;
+#: a 3-byte coefficient goes out as a 4-byte lane whose spare high byte
+#: the next field of the record overwrites
 _LANES = {2: "<u2", 3: "<u4", 4: "<u4"}
 
 
@@ -178,17 +179,16 @@ def _record_dtype(fmt: StorageFormat) -> np.dtype:
     )
 
 
-def _unpack_coeff(raw: np.ndarray, nbytes: int) -> np.ndarray:
-    """Inverse of :func:`_coeff_bits` over stored bytes; returns float64."""
-    if nbytes == 2:
-        return raw.reshape(-1, 2).copy().view(np.float16).ravel().astype(np.float64)
-    if nbytes == 4:
-        return raw.reshape(-1, 4).copy().view(np.float32).ravel().astype(np.float64)
+def _coeff_values(lanes: np.ndarray, nbytes: int) -> np.ndarray:
+    """Inverse of :func:`_coeff_bits` over a record field; returns float64.
+
+    A 3-byte coefficient's lane carries the next field's first byte in
+    its high byte: shifting the lane left by 8 drops that byte and puts
+    the zeroed low mantissa byte back.
+    """
     if nbytes == 3:
-        full = np.zeros((raw.shape[0] // 3 if raw.ndim == 1 else raw.shape[0], 4), np.uint8)
-        full[:, 1:] = raw.reshape(-1, 3)
-        return full.view(np.float32).ravel().astype(np.float64)
-    raise ValueError(f"unsupported coefficient width: {nbytes}")
+        lanes = lanes << 8
+    return lanes.view("<f2" if nbytes == 2 else "<f4").astype(np.float64)
 
 
 def _frame_crcs(body, segment_bytes: int) -> np.ndarray:
@@ -205,36 +205,52 @@ def _frame_crcs(body, segment_bytes: int) -> np.ndarray:
     )
 
 
-def _pack(
-    stream: CompressedStream, header_bytes: int, trailer_bytes: int
-) -> tuple[int, bytearray]:
-    """Header flags and the message's one buffer, the same in both wire
-    versions: the segment body, packed in place after ``header_bytes``
-    and followed by ``trailer_bytes``, both left zero for the caller."""
-    fmt = stream.fmt
+def _pack(windows, fmt: StorageFormat, header_bytes: int) -> tuple[int, bytearray]:
+    """Header flags and the message buffer, the same in both wire versions.
+
+    The buffer starts with ``header_bytes`` left zero for the caller;
+    each ``(m, q, lengths)`` window's records are then packed and
+    appended as the window arrives, so no whole-stream coefficient array
+    need ever exist.  The fields of a record cover all of its bytes, so
+    the records need no zero fill.
+    """
     flags = _format_flags(fmt)
-    if stream.lengths.size and int(stream.lengths.max()) > fmt.max_segment_length:
-        raise ValueError("segment length exceeds the storage format's length field")
-    n = stream.num_segments
-    buf = bytearray(header_bytes + n * fmt.segment_bytes + trailer_bytes)
-    records = np.frombuffer(buf, dtype=_record_dtype(fmt), count=n, offset=header_bytes)
-    records["m"] = _coeff_bits(stream.m, fmt.slope_bytes)
-    records["q"] = _coeff_bits(stream.q, fmt.intercept_bytes)
-    records["length"] = stream.lengths
+    record = _record_dtype(fmt)
+    buf = bytearray(header_bytes)
+    for m, q, lengths in windows:
+        if lengths.size and int(lengths.max()) > fmt.max_segment_length:
+            raise ValueError("segment length exceeds the storage format's length field")
+        records = np.empty(lengths.size, dtype=record)
+        records["m"] = _coeff_bits(m, fmt.slope_bytes)
+        records["q"] = _coeff_bits(q, fmt.intercept_bytes)
+        records["length"] = lengths
+        buf.extend(records.view(np.uint8))
     return flags, buf
+
+
+def encode_windows(windows, fmt: StorageFormat, delta: float) -> tuple[bytes, int]:
+    """Serialize a stream given window by window (version 3, CRC-framed).
+
+    ``windows`` yields ``(m, q, lengths)`` triples in stream order, as
+    :func:`~repro.core.compression.fit_windows` does; each is packed as
+    it arrives.  Returns the message and its segment count.  Besides
+    one window, the encode holds the packed body and, while the CRC
+    trailer is appended, the message it returns.
+    """
+    flags, buf = _pack(windows, fmt, HEADER_BYTES)
+    n = (len(buf) - HEADER_BYTES) // fmt.segment_bytes
+    trailer = _frame_crcs(memoryview(buf)[HEADER_BYTES:], fmt.segment_bytes)
+    trailer = trailer.astype("<u4").tobytes()
+    header0 = _HEADER.pack(_MAGIC, _VERSION, flags, n, 0, float(delta))
+    crc = zlib.crc32(trailer, zlib.crc32(header0))
+    _HEADER.pack_into(buf, 0, _MAGIC, _VERSION, flags, n, crc, float(delta))
+    return b"".join((buf, trailer)), n
 
 
 def encode(stream: CompressedStream) -> bytes:
     """Serialize a compressed stream to bytes (version 3, CRC-framed)."""
-    n, fmt = stream.num_segments, stream.fmt
-    end = HEADER_BYTES + n * fmt.segment_bytes
-    flags, buf = _pack(stream, HEADER_BYTES, frame_trailer_bytes(n))
-    view = memoryview(buf)
-    view[end:] = _frame_crcs(view[HEADER_BYTES:end], fmt.segment_bytes).astype("<u4").tobytes()
-    header0 = _HEADER.pack(_MAGIC, _VERSION, flags, n, 0, float(stream.delta))
-    crc = zlib.crc32(view[end:], zlib.crc32(header0))
-    _HEADER.pack_into(buf, 0, _MAGIC, _VERSION, flags, n, crc, float(stream.delta))
-    return bytes(buf)
+    window = (stream.m, stream.q, stream.lengths)
+    return encode_windows((window,), stream.fmt, stream.delta)[0]
 
 
 def encode_legacy(stream: CompressedStream) -> bytes:
@@ -244,7 +260,8 @@ def encode_legacy(stream: CompressedStream) -> bytes:
     tests: it produces exactly the messages archives written before the
     framing version bump contain.  New code should use :func:`encode`.
     """
-    flags, buf = _pack(stream, LEGACY_HEADER_BYTES, 0)
+    window = (stream.m, stream.q, stream.lengths)
+    flags, buf = _pack((window,), stream.fmt, LEGACY_HEADER_BYTES)
     _HEADER_V2.pack_into(
         buf, 0, _MAGIC, _LEGACY_VERSION, flags, stream.num_segments, float(stream.delta)
     )
@@ -335,15 +352,12 @@ def _parse(data: bytes, strict: bool) -> LenientStream:
                 segments=tuple(segs.tolist()),
             )
 
-    body = np.frombuffer(
-        data, dtype=np.uint8, offset=header_bytes, count=body_len
-    ).reshape(num_segments, fmt.segment_bytes)
-    m = _unpack_coeff(body[:, : fmt.slope_bytes], fmt.slope_bytes)
-    q = _unpack_coeff(
-        body[:, fmt.slope_bytes : fmt.slope_bytes + fmt.intercept_bytes],
-        fmt.intercept_bytes,
+    records = np.frombuffer(
+        data, dtype=_record_dtype(fmt), count=num_segments, offset=header_bytes
     )
-    lengths = body[:, -fmt.length_bytes :].copy().view("<u2").ravel().astype(np.int64)
+    m = _coeff_values(records["m"], fmt.slope_bytes)
+    q = _coeff_values(records["q"], fmt.intercept_bytes)
+    lengths = records["length"].astype(np.int64)
     return LenientStream(
         m=m, q=q, lengths=lengths, delta=float(delta), fmt=fmt, damaged=damaged
     )

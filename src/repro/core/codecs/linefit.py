@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import codec as wire
-from ..compression import CompressedStream, StorageFormat, compress
+from ..compression import CompressedStream, StorageFormat, fit_windows
 from ..errors import CodecError
 from ..segmentation import delta_from_percent
 from .base import Codec, CompressedBlob, as_stream
@@ -100,19 +100,25 @@ class LineFitCodec(Codec):
         return delta_from_percent(w, self.delta_pct)
 
     def encode(self, weights: np.ndarray) -> CompressedBlob:
+        """Fit ``weights`` window by window, packing each window's
+        records into the message as it is fit (no whole-stream ⟨m, q,
+        len⟩ array is built)."""
         w = as_stream(weights)
-        stream = compress(w, self._delta_for(w), fmt=self.fmt)
+        delta = self._delta_for(w)
+        payload, num_segments = wire.encode_windows(
+            fit_windows(w, delta, self.fmt), self.fmt, delta
+        )
         return CompressedBlob(
             codec=self.name,
             params=self.params(),
-            payload=wire.encode(stream),
+            payload=payload,
             meta={
-                "num_segments": stream.num_segments,
-                "num_weights": stream.num_weights,
+                "num_segments": num_segments,
+                "num_weights": int(w.size),
                 "dtype": str(w.dtype),
             },
-            original_bytes=stream.original_bytes,
-            compressed_bytes=stream.compressed_bytes,
+            original_bytes=w.size * self.fmt.weight_bytes,
+            compressed_bytes=num_segments * self.fmt.segment_bytes,
         )
 
     def decode_stream(self, blob: CompressedBlob) -> CompressedStream:

@@ -1,11 +1,12 @@
 """Lossy compression of CNN parameters (Sec. III-B of the paper).
 
-The line-fit codec's internals: :func:`compress` segments one stream
-and fits its lines, and the :class:`CompressedStream` it returns is the
-parsed ⟨m, q, len⟩ form that the wire format (:mod:`repro.core.codec`)
-packs and parses and the accumulator kernel
-(:mod:`repro.core.decompressor`) regenerates.  :class:`StorageFormat`
-is the byte-cost model of that form.
+The line-fit codec's internals: :func:`fit_windows` segments one
+stream and fits its lines window by window, which the codec packs into
+its wire message (:mod:`repro.core.codec`) as they come.
+:func:`compress` joins the windows into a :class:`CompressedStream`, the
+parsed ⟨m, q, len⟩ form that the wire format packs and parses and the
+accumulator kernel (:mod:`repro.core.decompressor`) regenerates.
+:class:`StorageFormat` is the byte-cost model of that form.
 
 Callers outside the codec compress through
 ``get_codec("linefit", ...)``: its :class:`~repro.core.codecs.
@@ -19,6 +20,7 @@ weight tensor.  Compressing a whole model layer-by-layer is handled by
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +32,7 @@ __all__ = [
     "StorageFormat",
     "CompressedStream",
     "compress",
+    "fit_windows",
     "quantize_coefficient",
 ]
 
@@ -181,6 +184,26 @@ class CompressedStream:
         return WeightStream(DecodePlan(self, dtype)).read(self.num_weights)
 
 
+def fit_windows(
+    weights: np.ndarray, delta: float, fmt: StorageFormat
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The segmentation and line fit of one stream, window by window.
+
+    Yields ``(m, q, lengths)`` for each window of
+    :func:`~repro.core.segmentation.segment_windows`, in stream order,
+    with segments longer than ``fmt``'s length field split; together
+    they are bit-identical to a whole-stream fit.  :func:`compress`
+    joins them, and the line-fit codec packs each into its message as
+    it comes (:func:`~repro.core.codec.encode_windows`).
+    """
+    for pos, x, b in segment_windows(weights, delta):
+        if not np.isfinite(x).all():
+            raise ValueError("weight stream contains non-finite values")
+        b = _split_long_segments(b, fmt.max_segment_length)
+        m, q = fit_segments(x, b, pos)
+        yield m, q, np.diff(b)
+
+
 def compress(
     weights: np.ndarray,
     delta: float,
@@ -190,21 +213,15 @@ def compress(
 
     Implements the full Sec. III-B flow: weak-monotonic greedy
     segmentation, per-segment least-squares line fit, and the
-    three-field-per-segment storage model.  The stream is segmented and
-    fit one window at a time (:func:`~repro.core.segmentation.
-    segment_windows`), so beyond its output the encode holds about one
-    float64 window; the result is bit-identical to a whole-stream fit.
+    three-field-per-segment storage model, over the windows of
+    :func:`fit_windows` joined into one parsed stream.
     """
     fmt = fmt or StorageFormat()
     ms, qs, lengths = [], [], []
-    for pos, x, b in segment_windows(weights, delta):
-        if not np.isfinite(x).all():
-            raise ValueError("weight stream contains non-finite values")
-        b = _split_long_segments(b, fmt.max_segment_length)
-        m, q = fit_segments(x, b, pos)
+    for m, q, n in fit_windows(weights, delta, fmt):
         ms.append(m)
         qs.append(q)
-        lengths.append(np.diff(b))
+        lengths.append(n)
     return CompressedStream(
         m=_join(ms),
         q=_join(qs),

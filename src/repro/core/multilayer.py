@@ -19,7 +19,10 @@ according to the most profitable energy/latency/accuracy trade-off"
 Every accuracy, solo or joint, is measured through a
 :class:`~repro.core.model_store.ModelArchive` built from the untouched
 model (``compress_model`` -> ``decode_layer``, the route serving
-takes), so the model is never left compressed between steps.
+takes), so the model is never left compressed between steps.  The
+greedy loop encodes each (layer, delta) once, into a single-layer
+archive, and evaluates a trial with those archives' layers installed
+together.
 
 The output maps layer names to delta values, directly consumable by
 ``Accelerator.run_model`` via per-layer ``CompressionEffect``s.  The
@@ -29,7 +32,7 @@ the paper's ``"linefit"`` as the default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from ..runtime import (
     run_tasks,
 )
 from .codecs import Codec, get_codec
-from .model_store import compress_model
+from .model_store import ModelArchive, compress_model
 from .pipeline import _evaluate_archive
 
 __all__ = ["Candidate", "MultiLayerPlan", "optimize_multilayer"]
@@ -245,7 +248,9 @@ def optimize_multilayer(
         reverse=True,
     )
 
-    # 2. greedy assembly with joint re-measurement
+    # 2. greedy assembly with joint re-measurement; each (layer, delta)
+    # is encoded once, into a single-layer archive a trial shares
+    encoded: dict[tuple[str, float], ModelArchive] = {}
     assignments: dict[str, float] = {}
     current_acc = baseline
     for cand in candidates:
@@ -254,7 +259,17 @@ def optimize_multilayer(
         # the accepted set plus this candidate (possibly replacing a
         # milder delta of the same layer)
         trial = {**assignments, cand.layer: cand.delta_pct}
-        acc = _archived_accuracy(model, x_test, y_test, top_k, trial, codec)
+        joint = ModelArchive(assignments=trial, compressed={}, raw={})
+        for point in trial.items():
+            if point not in encoded:
+                # the raw copies of the other layers are never read
+                encoded[point] = replace(
+                    compress_model(model, dict([point]), include_state=False, codec=codec),
+                    raw={},
+                )
+            joint.compressed.update(encoded[point].compressed)
+            joint.codecs.update(encoded[point].codecs)
+        acc = _top_k(_evaluate_archive(model, joint, x_test, y_test)[0], top_k)
         if baseline - acc <= max_accuracy_drop:
             assignments, current_acc = trial, acc
 

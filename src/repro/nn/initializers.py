@@ -27,6 +27,10 @@ __all__ = [
     "trained_like",
 ]
 
+#: uniforms per draw of :func:`trained_like`'s outlier mask: a 512 KiB
+#: float64 chunk instead of 8 B for every weight of the layer
+_MASK_CHUNK = 1 << 16
+
 
 def fans(shape: tuple[int, ...]) -> tuple[int, int]:
     """(fan_in, fan_out) for dense ``(in, out)`` or conv ``OIHW`` shapes."""
@@ -79,7 +83,12 @@ def trained_like(
     # is 102.8M weights and float64 staging would cost ~0.9 GB
     w = rng.standard_normal(n, dtype=np.float32)
     w *= base_std
-    wide = rng.random(n) < 0.05
+    # the outlier mask takes the uniforms of one rng.random(n) a chunk
+    # at a time, without their float64 copy of the layer
+    wide = np.empty(n, dtype=bool)
+    for lo in range(0, n, _MASK_CHUNK):
+        hi = min(lo + _MASK_CHUNK, n)
+        np.less(rng.random(hi - lo), 0.05, out=wide[lo:hi])
     n_wide = int(wide.sum())
     w[wide] = rng.standard_normal(n_wide, dtype=np.float32) * np.float32(1.8 * base_std)
     if tail_ratio is not None and n >= 16:

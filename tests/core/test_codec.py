@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import codec
 from repro.core.codec import CodecError, IntegrityError
+from repro.core.codecs import LineFitCodec
 from repro.core.compression import StorageFormat
 from tests.conftest import compress_pct
 
@@ -109,6 +110,8 @@ class TestRoundTrip:
                 codec.encode(stream)
             with pytest.raises(CodecError, match=match):
                 codec.encode_legacy(stream)
+            with pytest.raises(CodecError, match=match):
+                LineFitCodec(delta_pct=5.0, fmt=fmt).encode(w)
 
     def test_empty_stream(self):
         stream = compress_pct(np.array([], dtype=np.float32), 0.0)

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core.codecs import LineFitCodec
 from repro.core.multilayer import optimize_multilayer
 from repro.datasets import train_test
 from repro.nn import TrainConfig, train
 from repro.nn.zoo import lenet5
+from repro.runtime import ResultCache
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +102,34 @@ class TestOptimizer:
             model, spec, split.x_test, split.y_test, max_accuracy_drop=0.10
         )
         assert 0.0 <= plan.footprint_reduction < 1.0
+
+    def test_greedy_encodes_each_candidate_once(self, trained, tmp_path):
+        """A greedy trial reuses the encodes of the layers it keeps.
+
+        A first run fills the result cache, so the second run's solo
+        grid and savings are cache hits and every encode it makes is
+        the greedy loop's.  A budget every trial meets accepts each
+        candidate, and later trials keep the accepted layers.
+        """
+        model, split, spec = trained
+        cache = ResultCache(tmp_path, enabled=True)
+
+        def run():
+            return optimize_multilayer(
+                model, spec, split.x_test, split.y_test,
+                max_accuracy_drop=1.0, cache=cache,
+            )
+
+        first = run()
+        encodes: Counter = Counter()
+        real = LineFitCodec.encode
+
+        def spy(codec, weights):
+            encodes[(np.asarray(weights).tobytes(), codec.delta_pct)] += 1
+            return real(codec, weights)
+
+        with mock.patch.object(LineFitCodec, "encode", spy):
+            plan = run()
+        assert plan == first
+        assert len(plan.assignments) >= 2
+        assert encodes and max(encodes.values()) == 1, sorted(encodes.values())

@@ -10,6 +10,9 @@ windows of 2 and 3 weights that must grow before they hold a break.
 The wire packer has an oracle here too: the field-by-field ``uint8``
 column copies and ``header + body + trailer`` concatenation that
 :func:`~repro.core.codec.encode` replaced with one record-packed buffer.
+The line-fit codec packs each window into its message as the window is
+fit; ``wire.encode(compress(...))``, which packs the joined stream as
+one window, is its oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core import codec as wire
 from repro.core import segmentation
+from repro.core.codecs import LineFitCodec
 from repro.core.compression import (
     CompressedStream,
     StorageFormat,
@@ -139,6 +143,21 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def assert_codec_matches_joined_stream(w: np.ndarray, delta: float, fmt, window) -> None:
+    """The codec's window-by-window message equals the joined stream's."""
+    with _window(window):
+        blob = LineFitCodec(delta=delta, fmt=fmt).encode(w)
+        stream = compress(w, delta, fmt)
+    assert blob.payload == wire.encode(stream)
+    assert blob.meta == {
+        "num_segments": stream.num_segments,
+        "num_weights": stream.num_weights,
+        "dtype": str(w.dtype),
+    }
+    assert blob.original_bytes == stream.original_bytes
+    assert blob.compressed_bytes == stream.compressed_bytes
+
+
 def assert_matches_oracle(w: np.ndarray, delta: float, window) -> None:
     expected = whole_stream_boundaries(w, delta)
     oracle = whole_stream_compress(w, delta)
@@ -152,6 +171,7 @@ def assert_matches_oracle(w: np.ndarray, delta: float, window) -> None:
     np.testing.assert_array_equal(_bits(stream.m), _bits(oracle.m))
     np.testing.assert_array_equal(_bits(stream.q), _bits(oracle.q))
     assert wire.encode(stream) == column_packed(oracle)
+    assert_codec_matches_joined_stream(w, delta, StorageFormat(), window)
     np.testing.assert_array_equal(w, before)  # windows are read, not written
 
 
@@ -218,6 +238,8 @@ class TestWindowedEqualsWholeStream:
         w[150_000] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             compress(w, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            LineFitCodec(delta=0.1).encode(w)
 
 
 def test_peak_memory_scales_with_segments_not_weights():
@@ -256,18 +278,21 @@ _FORMATS = [
 
 
 class TestRecordPackerEqualsColumnPacker:
-    """Every storage format packs to the column packer's bytes."""
+    """Every storage format packs to the column packer's bytes, and the
+    codec's window-by-window message to the joined stream's."""
 
     @given(
         w=_streams,
         delta=st.floats(0, 2),
         fmt=st.sampled_from(_FORMATS),
+        window=st.sampled_from(WINDOWS),
     )
     @settings(max_examples=200, deadline=None)
-    def test_property(self, w, delta, fmt):
+    def test_property(self, w, delta, fmt, window):
         stream = compress(w, delta, fmt)
         assert wire.encode(stream) == column_packed(stream)
         assert wire.encode_legacy(stream) == column_packed(stream, legacy=True)
+        assert_codec_matches_joined_stream(w, delta, fmt, window)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     @pytest.mark.parametrize(
@@ -306,4 +331,30 @@ def test_wire_encode_holds_one_body_besides_the_payload():
     assert peak <= budget, (
         f"peak {peak / stream.num_segments:.2f} B/segment over "
         f"{budget / stream.num_segments:.2f} for {stream.num_segments} segments"
+    )
+
+
+@pytest.mark.parametrize("pct", [10.0, 0.0])
+def test_codec_encode_holds_about_two_payloads(pct):
+    """An encode holds the packed body, its payload and about one window.
+
+    Each window's records are packed as soon as they are fit, so no
+    whole-stream ⟨m, q, len⟩ array exists: the peak is the growing body
+    plus the returned payload (16.5 B/segment here) and a few
+    window-sized temporaries.  Fitting the whole stream first and
+    packing it afterwards held the parsed stream too: 40.1 B/segment.
+    """
+    w = np.random.default_rng(0).standard_normal(4_000_000).astype(np.float32)
+    codec = LineFitCodec(delta_pct=pct)
+    tracemalloc.start()
+    try:
+        blob = codec.encode(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    budget = 2 * len(blob.payload) + (4 << 20)
+    assert peak <= budget, (
+        f"peak {peak / 2**20:.1f} MiB over {budget / 2**20:.1f} MiB "
+        f"({peak / blob.num_segments:.1f} B/segment) for "
+        f"{blob.num_segments} segments of {w.size} weights"
     )

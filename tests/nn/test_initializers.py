@@ -2,10 +2,39 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.nn.initializers import fans, glorot_uniform, he_normal, trained_like
+from repro.nn.initializers import (
+    _MASK_CHUNK,
+    fans,
+    glorot_uniform,
+    he_normal,
+    trained_like,
+)
+
+
+def one_shot_trained_like(shape, rng, scale=1.0, tail_ratio=None):
+    """:func:`trained_like` with its outlier mask drawn in one call."""
+    shape = tuple(shape)
+    fan_in, fan_out = fans(shape)
+    base_std = np.float32(scale * np.sqrt(2.0 / (fan_in + fan_out)) * 0.8)
+    n = int(np.prod(shape))
+    w = rng.standard_normal(n, dtype=np.float32)
+    w *= base_std
+    wide = rng.random(n) < 0.05
+    n_wide = int(wide.sum())
+    w[wide] = rng.standard_normal(n_wide, dtype=np.float32) * np.float32(1.8 * base_std)
+    if tail_ratio is not None and n >= 16:
+        half = np.float32(tail_ratio / 2.0 * float(w.std()))
+        np.clip(w, -half, half, out=w)
+        k = max(2, n // 500_000)
+        idx = rng.choice(n, size=2 * k, replace=False)
+        w[idx[:k]] = half
+        w[idx[k:]] = -half
+    return w.reshape(shape)
 
 
 class TestFans:
@@ -75,3 +104,37 @@ class TestTrainedLike:
         small = trained_like((256, 256), rng, scale=0.5).std()
         base = trained_like((256, 256), rng, scale=1.0).std()
         assert small == pytest.approx(base * 0.5, rel=0.1)
+
+
+class TestChunkedOutlierMask:
+    """The mask is drawn in chunks from the stream one draw would take."""
+
+    @pytest.mark.parametrize("tail_ratio", [None, 12.0])
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, _MASK_CHUNK - 1, _MASK_CHUNK, _MASK_CHUNK + 1, 3 * _MASK_CHUNK + 5],
+    )
+    def test_equals_one_shot_draw(self, n, tail_ratio):
+        chunked_rng, oracle_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = trained_like((n, 1), chunked_rng, tail_ratio=tail_ratio)
+        expected = one_shot_trained_like((n, 1), oracle_rng, tail_ratio=tail_ratio)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert chunked_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("tail_ratio", [None, 20.0])
+    def test_traced_peak_per_weight(self, tail_ratio):
+        """The weights, their mask and one chunk of uniforms.
+
+        With ``tail_ratio`` the peak is ``w.std()``'s float32 deviation
+        array beside the weights and the mask (9 B per weight); a
+        one-shot mask drew a float64 uniform per weight (13 B).
+        """
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            w = trained_like((2000, 1000), rng, tail_ratio=tail_ratio)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * w.size, f"{peak / w.size:.2f} B per weight"
